@@ -645,6 +645,10 @@ def replica_branch_and_bound(
         return None
 
     winner = tie_dfs(0)
+    # The recursive closures reference themselves; dropping them frees the
+    # search (and the tensors' per-group value tables) on return instead of
+    # at the next cyclic garbage collection.
+    del value_dfs, tie_dfs
     if winner is None:  # pragma: no cover - phase 1 proved V is attained
         raise PlacementError("no memory-feasible placement exists for this instance")
     return winner, best_value

@@ -71,6 +71,11 @@ def _lpt_waits(device_idx: Sequence[int], computes: Sequence[float], slots_of: S
     return waits
 
 
+#: Largest per-group value table (``n_devices ** len(member_idx)`` entries)
+#: :meth:`RequestGroup.best_hosts` builds; bigger groups enumerate.
+_VALUE_TABLE_CAP = 1 << 16
+
+
 class RequestGroup:
     """Cached pricing arrays for one (model, source) request class.
 
@@ -83,7 +88,7 @@ class RequestGroup:
     __slots__ = (
         "model", "source", "encoder_names", "head_name",
         "encoder_idx", "head_idx", "in_comm", "enc_comp", "head_comp", "out",
-        "_members", "_member_pos",
+        "_members", "_member_pos", "_table",
     )
 
     def __init__(self, tensors: "CostTensors", model: ModelSpec, source: str) -> None:
@@ -109,6 +114,7 @@ class RequestGroup:
                 members.append(idx)
         self._members = members
         self._member_pos = {idx: i for i, idx in enumerate(members)}
+        self._table: Optional[np.ndarray] = None
 
     def total(self, tensors: "CostTensors", enc_hosts: Sequence[int], head_host: int) -> float:
         """Eq. 1-3 latency with encoders on ``enc_hosts`` and the head on
@@ -153,6 +159,48 @@ class RequestGroup:
         """Cheapest-replica routing: the joint minimum of Eq. 1-3 over every
         combination of hosts drawn from per-module candidate sets.
 
+        Same contract and result, bit for bit, as :meth:`best_hosts_scalar`
+        (the enumeration oracle).  The group's latency is a pure function
+        of the member device tuple, so the first call builds the flattened
+        value table of :meth:`_value_table` and each call gathers the
+        candidate sub-grid from it, in ``itertools.product`` order.  The
+        first minimum of that C-order gather (``argmin``) is the
+        lexicographic, strict-``<`` winner of the enumeration.  The queue
+        surcharge is the scalar per-combination sum, starting at ``0.0``
+        and running in member order.  Groups whose table would exceed
+        ``_VALUE_TABLE_CAP`` entries enumerate instead.
+        """
+        table = self._table
+        if table is None:
+            if tensors.n_devices ** len(self._members) > _VALUE_TABLE_CAP:
+                return self.best_hosts_scalar(tensors, candidates, device_waits)
+            table = self._table = self._value_table(tensors).ravel()
+        n = tensors.n_devices
+        offsets = [0]
+        for allowed in candidates:
+            offsets = [o * n + d for o in offsets for d in allowed]
+        values = table[offsets]
+        if device_waits is not None:
+            waits = [0.0]
+            for allowed in candidates:
+                waits = [w + device_waits[d] for w in waits for d in allowed]
+            values = values + waits
+        k = int(values.argmin())
+        best = values[k]
+        chosen = []
+        for allowed in reversed(candidates):
+            k, r = divmod(k, len(allowed))
+            chosen.append(allowed[r])
+        return best, tuple(reversed(chosen))
+
+    def best_hosts_scalar(
+        self,
+        tensors: "CostTensors",
+        candidates: Sequence[Sequence[int]],
+        device_waits: Optional[Sequence[float]] = None,
+    ) -> Tuple[float, Tuple[int, ...]]:
+        """Reference cheapest-replica routing by enumeration.
+
         ``candidates[i]`` lists the allowed device indices for member module
         ``member_idx[i]``.  Combinations are enumerated in lexicographic
         order over the given candidate order, and only a **strictly**
@@ -188,6 +236,66 @@ class RequestGroup:
                 best_combo = tuple(combo)
         assert best_combo is not None, "candidates must be non-empty"
         return best_total, best_combo
+
+    def _value_table(self, tensors: "CostTensors") -> np.ndarray:
+        """``V[d_0, ..., d_{M-1}]``: :meth:`total` with member ``i`` on device
+        ``d_i``, one axis per :attr:`member_idx` entry.
+
+        Each encoder path is ``((in + wait) + comp) + out`` and the stage is
+        the element-wise max (parallel) or the in-order sum (serial) of the
+        paths, plus the head's compute — the scalar float operations,
+        element for element.  An encoder's LPT wait depends only on its
+        device and on which encoders share that device, so
+        ``_lpt_waits`` itself prices every (device, encoder-axis subset)
+        block once and the wait grid is gathered from those blocks.  All
+        grids are open (broadcast) and the stage is reduced in place.
+        """
+        n = tensors.n_devices
+        n_axes = len(self._members)
+        grids = [
+            np.arange(n).reshape([n if i == a else 1 for i in range(n_axes)])
+            for a in range(n_axes)
+        ]
+        enc_axes = [self._member_pos[idx] for idx in self.encoder_idx]
+        head = grids[self._member_pos[self.head_idx]]
+        # Serial mode charges no waits; the scalar path still adds 0.0.
+        waits: list = [0.0] * len(enc_axes)
+        if tensors.parallel and enc_axes:
+            # Encoders come first in member order: axes 0..n_enc-1, one
+            # subset bit each.
+            n_enc = len(set(enc_axes))
+            blocks = np.zeros((len(enc_axes), n, 1 << n_enc))
+            for dev in range(n):
+                for mask in range(1, 1 << n_enc):
+                    block = [e for e, a in enumerate(enc_axes) if mask >> a & 1]
+                    block_waits = _lpt_waits(
+                        [dev] * len(block),
+                        [self.enc_comp[e][dev] for e in block],
+                        tensors.slots,
+                    )
+                    for e, wait in zip(block, block_waits):
+                        blocks[e, dev, mask] = wait
+            sharing = [
+                sum((grids[b] == grids[a]) * (1 << b) for b in range(n_enc))
+                for a in range(n_enc)
+            ]
+            waits = [blocks[e][grids[a], sharing[a]] for e, a in enumerate(enc_axes)]
+        stage = np.zeros((n,) * n_axes)
+        path = np.empty_like(stage)
+        for e, a in enumerate(enc_axes):
+            dev = grids[a]
+            out = stage if e == 0 else path
+            np.add(self.in_comm[e][dev], waits[e], out=out)
+            out += self.enc_comp[e][dev]
+            out += self.out[e][dev, head]
+            if e == 0:
+                continue
+            if tensors.parallel:
+                np.maximum(stage, path, out=stage)
+            else:
+                stage += path
+        stage += self.head_comp[head]
+        return stage
 
 
 class CostTensors:

@@ -381,6 +381,108 @@ class TestEnumerationRewrite:
         assert first == second
 
 
+def _random_candidates(rng, n_members, pool, max_size=3):
+    """Per-member sorted candidate sets drawn from ``pool`` — a small pool
+    makes encoders collide on one device, so the LPT waits do the work."""
+    largest = min(max_size, len(pool))
+    return [
+        sorted(
+            int(d)
+            for d in rng.choice(pool, size=rng.integers(1, largest + 1), replace=False)
+        )
+        for _ in range(n_members)
+    ]
+
+
+def _random_waits(rng, n_devices):
+    """Per-device queue waits as Python floats, some zero, some ``inf``."""
+    waits = []
+    for _ in range(n_devices):
+        draw = rng.random()
+        if draw < 0.2:
+            waits.append(0.0)
+        elif draw < 0.35:
+            waits.append(float("inf"))
+        else:
+            waits.append(float(rng.uniform(0.0, 2.0)))
+    return waits
+
+
+class TestBestHostsTable:
+    """``RequestGroup.best_hosts`` (value table) vs ``best_hosts_scalar``
+    (enumeration): value and chosen tuple compared with ``==``."""
+
+    def _assert_matches(self, tensors, group, candidates, waits):
+        fast = group.best_hosts(tensors, candidates, device_waits=waits)
+        oracle = group.best_hosts_scalar(tensors, candidates, device_waits=waits)
+        assert fast[0] == oracle[0], (candidates, waits, fast, oracle)
+        assert fast[1] == oracle[1], (candidates, waits, fast, oracle)
+
+    def _sweep(self, instance, parallel, trials, tag):
+        tensors = CostTensors(instance.problem, instance.network, parallel=parallel)
+        rng = rng_for("best-hosts-table", tag, parallel)
+        n = tensors.n_devices
+        for request in instance.requests:
+            group = tensors.group(request.model, request.source)
+            members = len(group.member_idx)
+            # Every member pinned to one device: all encoders contend there.
+            for dev in range(n):
+                self._assert_matches(tensors, group, [[dev]] * members, None)
+            for trial in range(trials):
+                pool = rng.choice(n, size=min(n, int(rng.integers(2, 5))), replace=False)
+                candidates = _random_candidates(rng, members, pool)
+                waits = _random_waits(rng, n) if trial % 2 else None
+                self._assert_matches(tensors, group, candidates, waits)
+
+    def test_contention_on_one_and_two_slot_devices(self):
+        instance = synthetic_instance(5, 8, seed=1, n_requests=6)
+        slots = CostTensors(instance.problem, instance.network).slots
+        assert {1, 2} <= set(slots)
+        self._sweep(instance, parallel=True, trials=150, tag="5x8")
+
+    def test_nonparallel_mode(self):
+        instance = synthetic_instance(4, 6, seed=2, n_requests=4)
+        self._sweep(instance, parallel=False, trials=150, tag="4x6-serial")
+
+    def test_single_encoder_groups(self):
+        instance = synthetic_instance(2, 6, seed=3, n_requests=4)
+        for parallel in (True, False):
+            self._sweep(instance, parallel=parallel, trials=60, tag="2x6")
+
+    def test_paper_models(self):
+        network = Network()
+        for models, devices, seed in paper_scale_instances():
+            problem = noisy_problem(models, devices, seed)
+            tensors = CostTensors(problem, network)
+            rng = rng_for("best-hosts-table-paper", *models, len(devices), seed)
+            for name in models:
+                for source in (devices[0], devices[-1]):
+                    request = InferenceRequest.for_model(name, source)
+                    group = tensors.group(request.model, source)
+                    for trial in range(20):
+                        candidates = _random_candidates(
+                            rng, len(group.member_idx), range(tensors.n_devices)
+                        )
+                        waits = _random_waits(rng, tensors.n_devices) if trial % 2 else None
+                        self._assert_matches(tensors, group, candidates, waits)
+
+    def test_group_above_table_cap_enumerates(self):
+        # 8 devices ** 6 members = 262,144 table entries: above the cap, so
+        # best_hosts must take the enumeration path and build no table.
+        instance = synthetic_instance(6, 8, seed=1, n_requests=2)
+        tensors = CostTensors(instance.problem, instance.network)
+        group = tensors.group(instance.requests[0].model, instance.requests[0].source)
+        assert tensors.n_devices ** len(group.member_idx) > 1 << 16
+        rng = rng_for("best-hosts-table", "above-cap")
+        for trial in range(20):
+            candidates = _random_candidates(
+                rng, len(group.member_idx), range(tensors.n_devices), max_size=2
+            )
+            waits = _random_waits(rng, tensors.n_devices) if trial % 2 else None
+            self._assert_matches(tensors, group, candidates, waits)
+        assert group._table is None
+
+
 class TestIncrementalObjective:
     def test_move_matches_full_recompute(self):
         network = Network()

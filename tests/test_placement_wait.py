@@ -384,7 +384,8 @@ class TestReplicaEnvelope:
     The replica search now carries wait-state bookkeeping; with
     ``congestion=None`` that machinery must stay entirely out of the hot
     path, so the base solver's ~5 modules x 8 devices / 2 copies envelope
-    (BENCH_replicas.json: 8.7 s) is pinned here — objective and wall clock.
+    (about 1.3 s, docs/placement.md) is pinned here — placement, objective
+    and wall clock.
     """
 
     def test_base_envelope_5x8_mc2_holds(self):
@@ -397,7 +398,14 @@ class TestReplicaEnvelope:
         wall = time.perf_counter() - start
         # The BENCH_replicas.json solver_sweep value for this exact instance.
         assert objective == 2.4204013233939565
-        assert wall < 90.0, f"base 5x8/mc=2 took {wall:.1f}s (documented ~9s)"
+        assert placement.as_dict() == {
+            "enc-00": ("dev-00",),
+            "enc-01": ("dev-00", "dev-03"),
+            "enc-02": ("dev-00", "dev-06"),
+            "enc-03": ("dev-00", "dev-01"),
+            "synth-head": ("dev-00", "dev-06"),
+        }
+        assert wall < 90.0, f"base 5x8/mc=2 took {wall:.1f}s (documented ~1.3s)"
 
     def test_queue_aware_envelope_3x4_mc2(self):
         """Queue-aware exactness at a scale brute force can verify quickly."""

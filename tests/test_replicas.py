@@ -6,6 +6,9 @@ cheapest-replica pricing must match the scalar reference **bit-for-bit**
 brute-force enumeration's exact placement, objective, and tie-break.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.network import Network
@@ -22,6 +25,7 @@ from repro.core.placement.replicas import (
     replica_brute_force,
     replica_optimal_placement,
 )
+from repro.core.placement.tensors import CostTensors
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
 from repro.profiles.devices import edge_device_names
@@ -195,6 +199,10 @@ class TestReplicaSolvers:
                 )
                 assert bnb_o == brute_o
                 assert bnb_p.as_dict() == brute_p.as_dict()
+                # Both solvers price leaves through RequestGroup.best_hosts;
+                # the tensor-free scalar objective checks that pricing alone.
+                scalar = LatencyModel(instance.problem, instance.network)
+                assert bnb_o == scalar.replica_objective_scalar(requests, bnb_p)
 
     def test_max_copies_one_equals_single_copy_optimum_value(self):
         # Host sets of size 1 are the single-copy space priced identically
@@ -253,6 +261,26 @@ class TestReplicaSolvers:
             problem, requests, network, max_copies=2, solver="auto"
         )
         assert objective > 0
+
+    def test_search_frees_tensors_on_return(self):
+        # The per-group value tables live on the CostTensors; the search
+        # must drop its last reference on return, not at the next cyclic
+        # garbage collection (peak RSS across repeated solves).
+        instance = synthetic_instance(3, 4, seed=1, n_requests=6)
+        tensors = CostTensors(instance.problem, instance.network)
+        ref = weakref.ref(tensors)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            replica_branch_and_bound(
+                instance.problem, list(instance.requests), instance.network,
+                max_copies=2, tensors=tensors,
+            )
+            del tensors
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_validation(self):
         network = Network()
