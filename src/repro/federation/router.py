@@ -115,20 +115,39 @@ def live_fraction(
     the plan's fail/recover events (slowdowns and link faults do not
     remove capacity here — they degrade it, which the serving run prices).
     """
-    if plan is None or not plan.events:
-        return 1.0
+    return _live_fractions(plan, device_names, (at_s,))[0]
+
+
+def _live_fractions(
+    plan: Optional[FaultPlan], device_names: Sequence[str], times: Sequence[float]
+) -> List[float]:
+    """:func:`live_fraction` at each of the non-decreasing ``times``, in one
+    sweep over the (time-sorted) plan."""
     pool = list(device_names)
-    down = []
-    for event in plan.events:
-        if event.time > at_s:
-            break
-        if event.kind == FAIL and event.device in pool and event.device not in down:
-            down.append(event.device)
-        elif event.kind == RECOVER and event.device in down:
-            down.remove(event.device)
-    if not pool:
-        return 1.0
-    return max(0.0, (len(pool) - len(down)) / len(pool))
+    events = plan.events if plan is not None else ()
+    down: set = set()
+    position = 0
+    fractions = []
+    for at_s in times:
+        while position < len(events) and events[position].time <= at_s:
+            event = events[position]
+            if event.kind == FAIL and event.device in pool:
+                down.add(event.device)
+            elif event.kind == RECOVER:
+                down.discard(event.device)
+            position += 1
+        fractions.append(
+            max(0.0, (len(pool) - len(down)) / len(pool)) if pool else 1.0
+        )
+    return fractions
+
+
+def _validate_pricing(window_s: float, payload_mb: float) -> None:
+    """Reject router pricing knobs no plan can be computed with."""
+    if not math.isfinite(window_s) or window_s <= 0:
+        raise ValueError(f"window_s must be positive and finite, got {window_s}")
+    if not math.isfinite(payload_mb) or payload_mb < 0:
+        raise ValueError(f"payload_mb must be non-negative and finite, got {payload_mb}")
 
 
 def _window_budgets(
@@ -137,20 +156,20 @@ def _window_budgets(
     fault_plans: Mapping[str, Optional[FaultPlan]],
     window_s: float,
     n_windows: int,
-) -> Dict[str, List[float]]:
-    """Per-cluster, per-window serving budget in requests (fault-scaled)."""
-    budgets: Dict[str, List[float]] = {}
+) -> Dict[str, List[int]]:
+    """Per-cluster, per-window serving budget in whole requests
+    (fault-scaled, priced at each window's midpoint)."""
+    midpoints = [(w + 0.5) * window_s for w in range(n_windows)]
+    budgets: Dict[str, List[int]] = {}
     for name in sorted(traces):
         spec = topology.cluster(name)
         devices = (
             list(spec.device_names) if spec.device_names is not None
             else edge_device_names()
         )
-        plan = fault_plans.get(name)
         budgets[name] = [
-            spec.capacity_rps * window_s
-            * live_fraction(plan, devices, (w + 0.5) * window_s)
-            for w in range(n_windows)
+            int(math.floor(spec.capacity_rps * window_s * fraction + 1e-9))
+            for fraction in _live_fractions(fault_plans.get(name), devices, midpoints)
         ]
     return budgets
 
@@ -172,9 +191,11 @@ def plan_spillover(
     to identity routes — the isolated-clusters baseline the benchmark
     gates against.  Returns a dict keyed by cluster name (iterate it
     sorted; insertion order is already sorted-name order).
+
+    Cost: one pass over each trace, one over each fault plan, and
+    O(peers) per overflow request; arrival traces need not be time-sorted.
     """
-    if window_s <= 0 or not math.isfinite(window_s):
-        raise ValueError(f"window_s must be positive and finite, got {window_s}")
+    _validate_pricing(window_s, payload_mb)
     names = sorted(traces)
     if set(names) != set(topology.names()):
         raise ValueError(
@@ -204,53 +225,63 @@ def plan_spillover(
 
     n_windows = max(1, int(math.ceil(duration_s / window_s)))
     budgets = _window_budgets(topology, traces, fault_plans, window_s, n_windows)
-    # Occupancy starts as each cluster's local per-window arrival counts and
-    # is updated as forwards leave/land, so later decisions see earlier ones.
-    occupancy: Dict[str, List[int]] = {name: [0] * n_windows for name in names}
+    # One pass per trace buckets arrival indices by window, in trace order.
+    # Occupancy starts as the bucket sizes and is updated as forwards
+    # leave/land, so later decisions see earlier ones.  An arrival before
+    # -window_s (outside the trace contract) lands on a negative index: it
+    # counts against a wrapped-around window but is never offered.
+    buckets: Dict[str, List[List[int]]] = {}
+    occupancy: Dict[str, List[int]] = {}
     for name in names:
-        for arrival in traces[name].arrivals:
+        buckets[name] = [[] for _ in range(n_windows)]
+        occupancy[name] = [0] * n_windows
+        for index, arrival in enumerate(traces[name].arrivals):
             w = min(n_windows - 1, int(arrival.time / window_s))
             occupancy[name][w] += 1
+            if w >= 0:
+                buckets[name][w].append(index)
+    peers = {
+        name: [
+            (
+                peer,
+                topology.wan_delay_s(name, peer, payload_mb),
+                topology.return_delay_s(name, peer),
+            )
+            for peer in topology.neighbors(name)
+        ]
+        for name in names
+    }
 
     decisions: Dict[str, List[SpilloverDecision]] = {name: [] for name in names}
     forwarded_out_idx: Dict[str, set] = {name: set() for name in names}
     # Window-major, cluster-minor (sorted): the deterministic decision order.
+    # Each (window, cluster) is visited once, so none of its bucket has been
+    # forwarded yet when it is.
     for w in range(n_windows):
         for name in names:
-            budget = int(math.floor(budgets[name][w] + 1e-9))
-            overflow = occupancy[name][w] - budget
+            overflow = occupancy[name][w] - budgets[name][w]
             if overflow <= 0:
                 continue
+            arrivals = traces[name].arrivals
             # The *latest* arrivals of the window overflow (the earliest
-            # fill the local budget) — scan the window's arrivals once.
-            window_arrivals = [
-                (index, arrival)
-                for index, arrival in enumerate(traces[name].arrivals)
-                if min(n_windows - 1, int(arrival.time / window_s)) == w
-                and index not in forwarded_out_idx[name]
-            ]
-            for index, arrival in window_arrivals[-overflow:] if overflow < len(
-                window_arrivals
-            ) else window_arrivals:
+            # fill the local budget).
+            for index in buckets[name][w][-overflow:]:
+                departure_s = arrivals[index].time
                 choice = None
-                for peer in topology.neighbors(name):
-                    delay = topology.wan_delay_s(name, peer, payload_mb)
-                    lands_at = arrival.time + delay
+                for peer, delay, return_s in peers[name]:
+                    lands_at = departure_s + delay
                     if lands_at >= duration_s:
                         continue
                     peer_w = min(n_windows - 1, int(lands_at / window_s))
-                    spare = (
-                        int(math.floor(budgets[peer][peer_w] + 1e-9))
-                        - occupancy[peer][peer_w]
-                    )
+                    spare = budgets[peer][peer_w] - occupancy[peer][peer_w]
                     if spare < 1:
                         continue
-                    candidate = (-spare, delay, peer, peer_w, lands_at)
+                    candidate = (-spare, delay, peer, peer_w, lands_at, return_s)
                     if choice is None or candidate < choice:
                         choice = candidate
                 if choice is None:
                     continue
-                _neg_spare, delay, peer, peer_w, lands_at = choice
+                _neg_spare, delay, peer, peer_w, lands_at, return_s = choice
                 occupancy[name][w] -= 1
                 occupancy[peer][peer_w] += 1
                 forwarded_out_idx[name].add(index)
@@ -259,9 +290,9 @@ def plan_spillover(
                         origin=name,
                         destination=peer,
                         index=index,
-                        departure_s=arrival.time,
+                        departure_s=departure_s,
                         arrival_s=lands_at,
-                        extra_s=delay + topology.return_delay_s(name, peer),
+                        extra_s=delay + return_s,
                     )
                 )
 

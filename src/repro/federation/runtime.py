@@ -37,6 +37,7 @@ from repro.federation.router import (
     SPILLOVER_PAYLOAD_MB,
     SPILLOVER_WINDOW_S,
     ClusterRoute,
+    _validate_pricing,
     plan_spillover,
 )
 from repro.federation.topology import FederationTopology
@@ -177,6 +178,7 @@ class FederationRuntime:
             raise ValueError(f"duration_s must be positive, got {duration_s}")
         if not models:
             raise ValueError("models must be non-empty")
+        _validate_pricing(window_s, payload_mb)
         self.topology = topology
         self.models = tuple(models)
         self.duration_s = float(duration_s)

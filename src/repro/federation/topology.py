@@ -116,6 +116,9 @@ class FederationTopology:
     _link_by_pair: Dict[Tuple[str, str], WanLink] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _neighbors: Dict[str, Tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.clusters) < 1:
@@ -136,8 +139,17 @@ class FederationTopology:
             if link.key in link_by_pair:
                 raise ValueError(f"duplicate WAN link {link.key[0]!r}<->{link.key[1]!r}")
             link_by_pair[link.key] = link
+        adjacency: Dict[str, list] = {name: [] for name in by_name}
+        for a, b in link_by_pair:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_link_by_pair", link_by_pair)
+        object.__setattr__(
+            self,
+            "_neighbors",
+            {name: tuple(sorted(peers)) for name, peers in adjacency.items()},
+        )
 
     # ------------------------------------------------------------------
     def names(self) -> Tuple[str, ...]:
@@ -153,14 +165,9 @@ class FederationTopology:
         return self._link_by_pair.get((a, b) if a <= b else (b, a))
 
     def neighbors(self, name: str) -> Tuple[str, ...]:
-        """Clusters directly linked to ``name``, in sorted order."""
-        if name not in self._by_name:
-            raise KeyError(name)
-        out = []
-        for key in sorted(self._link_by_pair):
-            if name in key:
-                out.append(key[0] if key[1] == name else key[1])
-        return tuple(sorted(out))
+        """Clusters directly linked to ``name``, in sorted order (raises
+        ``KeyError`` if unknown)."""
+        return self._neighbors[name]
 
     def wan_delay_s(self, a: str, b: str, payload_mb: float) -> float:
         """Forward-path delay in **seconds** for shipping ``payload_mb``

@@ -12,6 +12,8 @@ per cluster ``completed + rejected + timed_out == arrivals`` with
 """
 
 import dataclasses
+import math
+import random
 
 import pytest
 from conftest import SERVING_MODELS, TESTBED_DEVICES, small_federation
@@ -22,14 +24,17 @@ from repro.federation import (
     ClusterSpec,
     FederationRuntime,
     FederationTopology,
+    SpilloverDecision,
     WanLink,
     live_fraction,
     merge_reports,
     plan_spillover,
 )
+from repro.profiles.devices import edge_device_names
+from repro.serving.churn import FAIL, RECOVER
 from repro.serving.faults import FaultPlan, regional_outage
 from repro.serving.slo import SLOPolicy
-from repro.serving.workload import WORKLOAD_KINDS
+from repro.serving.workload import WORKLOAD_KINDS, Arrival, ArrivalTrace
 
 #: Grid shape: short but hot enough that spillover cells actually forward.
 GRID_DURATION_S = 30.0
@@ -62,6 +67,155 @@ def _grid_faults(outage):
             )
         )
     }
+
+
+def _reference_live_fraction(plan, device_names, at_s):
+    """The per-instant device-pool scan the planner's budgets used to run
+    once per window (oracle for the one-sweep budgets)."""
+    if plan is None or not plan.events:
+        return 1.0
+    pool = list(device_names)
+    down = []
+    for event in plan.events:
+        if event.time > at_s:
+            break
+        if event.kind == FAIL and event.device in pool and event.device not in down:
+            down.append(event.device)
+        elif event.kind == RECOVER and event.device in down:
+            down.remove(event.device)
+    if not pool:
+        return 1.0
+    return max(0.0, (len(pool) - len(down)) / len(pool))
+
+
+def _reference_plan_spillover(
+    topology, traces, fault_plans=None, *, window_s=1.0, payload_mb=2.0
+):
+    """The rescanning spillover planner, kept as the oracle for
+    :func:`plan_spillover`: every overflowing (window, cluster) rescans the
+    cluster's whole trace and re-derives its peers' WAN prices per request.
+    Argument validation is the planner's own and is not repeated here."""
+    names = sorted(traces)
+    fault_plans = dict(fault_plans or {})
+    duration_s = traces[names[0]].duration_s
+    n_windows = max(1, int(math.ceil(duration_s / window_s)))
+    budgets = {}
+    for name in names:
+        spec = topology.cluster(name)
+        devices = (
+            list(spec.device_names) if spec.device_names is not None
+            else edge_device_names()
+        )
+        plan = fault_plans.get(name)
+        budgets[name] = [
+            spec.capacity_rps * window_s
+            * _reference_live_fraction(plan, devices, (w + 0.5) * window_s)
+            for w in range(n_windows)
+        ]
+    occupancy = {name: [0] * n_windows for name in names}
+    for name in names:
+        for arrival in traces[name].arrivals:
+            w = min(n_windows - 1, int(arrival.time / window_s))
+            occupancy[name][w] += 1
+
+    decisions = {name: [] for name in names}
+    forwarded_out_idx = {name: set() for name in names}
+    for w in range(n_windows):
+        for name in names:
+            budget = int(math.floor(budgets[name][w] + 1e-9))
+            overflow = occupancy[name][w] - budget
+            if overflow <= 0:
+                continue
+            window_arrivals = [
+                (index, arrival)
+                for index, arrival in enumerate(traces[name].arrivals)
+                if min(n_windows - 1, int(arrival.time / window_s)) == w
+                and index not in forwarded_out_idx[name]
+            ]
+            for index, arrival in window_arrivals[-overflow:] if overflow < len(
+                window_arrivals
+            ) else window_arrivals:
+                choice = None
+                for peer in topology.neighbors(name):
+                    delay = topology.wan_delay_s(name, peer, payload_mb)
+                    lands_at = arrival.time + delay
+                    if lands_at >= duration_s:
+                        continue
+                    peer_w = min(n_windows - 1, int(lands_at / window_s))
+                    spare = (
+                        int(math.floor(budgets[peer][peer_w] + 1e-9))
+                        - occupancy[peer][peer_w]
+                    )
+                    if spare < 1:
+                        continue
+                    candidate = (-spare, delay, peer, peer_w, lands_at)
+                    if choice is None or candidate < choice:
+                        choice = candidate
+                if choice is None:
+                    continue
+                _neg_spare, delay, peer, peer_w, lands_at = choice
+                occupancy[name][w] -= 1
+                occupancy[peer][peer_w] += 1
+                forwarded_out_idx[name].add(index)
+                decisions[name].append(
+                    SpilloverDecision(
+                        origin=name,
+                        destination=peer,
+                        index=index,
+                        departure_s=arrival.time,
+                        arrival_s=lands_at,
+                        extra_s=delay + topology.return_delay_s(name, peer),
+                    )
+                )
+
+    routes = {}
+    inbound = {name: [] for name in names}
+    for name in names:
+        for decision in decisions[name]:
+            inbound[decision.destination].append(decision)
+    for name in names:
+        kept = [
+            (arrival.time, arrival.model_name, 0.0)
+            for index, arrival in enumerate(traces[name].arrivals)
+            if index not in forwarded_out_idx[name]
+        ]
+        landed = [
+            (
+                decision.arrival_s,
+                traces[decision.origin].arrivals[decision.index].model_name,
+                decision.extra_s,
+            )
+            for decision in sorted(
+                inbound[name], key=lambda d: (d.arrival_s, d.origin, d.index)
+            )
+        ]
+        merged = sorted(kept + landed, key=lambda row: row[0])
+        routes[name] = ClusterRoute(
+            name=name,
+            trace=ArrivalTrace(
+                arrivals=tuple(Arrival(time=t, model_name=m) for t, m, _ in merged),
+                duration_s=duration_s,
+                kind=traces[name].kind,
+                seed=traces[name].seed,
+            ),
+            wan_extra_s=tuple(extra for _, _, extra in merged),
+            local_arrivals=len(traces[name].arrivals),
+            forwarded_out=len(decisions[name]),
+            forwarded_in=len(inbound[name]),
+            decisions=tuple(decisions[name]),
+        )
+    return routes
+
+
+def _reference_neighbors(topology, name):
+    """The per-call neighbour derivation (re-sorts every link key)."""
+    if name not in topology.names():
+        raise KeyError(name)
+    out = []
+    for key in sorted(topology._link_by_pair):
+        if name in key:
+            out.append(key[0] if key[1] == name else key[1])
+    return tuple(sorted(out))
 
 
 class TestConservationContract:
@@ -197,6 +351,27 @@ class TestTopology:
         with pytest.raises(ValueError):
             topo.wan_delay_s("a", "b", 1.0)
 
+    def test_neighbors_match_per_call_derivation(self, federation_topology):
+        partial = FederationTopology(
+            clusters=tuple(
+                ClusterSpec(name, rate_rps=1.0, capacity_rps=1.0)
+                for name in ("d", "c", "b", "a")
+            ),
+            links=(
+                WanLink("c", "a", latency_s=0.1, bandwidth_mbps=10.0),
+                WanLink("b", "c", latency_s=0.1, bandwidth_mbps=10.0),
+            ),
+        )
+        assert partial.neighbors("c") == ("a", "b")
+        assert partial.neighbors("d") == ()
+        for topo in (federation_topology, partial):
+            for name in topo.names():
+                assert topo.neighbors(name) == _reference_neighbors(topo, name)
+            with pytest.raises(KeyError):
+                topo.neighbors("ghost")
+            with pytest.raises(KeyError):
+                _reference_neighbors(topo, "ghost")
+
 
 class TestRouter:
     def test_live_fraction_tracks_outage_window(self):
@@ -204,7 +379,9 @@ class TestRouter:
             regional_outage(("desktop", "jetson-b"), 10.0, 20.0, region="r")
         )
         assert live_fraction(plan, TESTBED_DEVICES, 5.0) == 1.0
+        assert live_fraction(plan, TESTBED_DEVICES, 10.0) == 0.5  # events at t apply
         assert live_fraction(plan, TESTBED_DEVICES, 15.0) == 0.5
+        assert live_fraction(plan, TESTBED_DEVICES, 20.0) == 1.0
         assert live_fraction(plan, TESTBED_DEVICES, 25.0) == 1.0
         assert live_fraction(None, TESTBED_DEVICES, 15.0) == 1.0
 
@@ -214,14 +391,7 @@ class TestRouter:
         )
         traces = runtime.local_traces(seed=1)
         # Re-plan against a copy with huge capacity: nothing overflows.
-        roomy = FederationTopology(
-            clusters=tuple(
-                dataclasses.replace(spec, capacity_rps=1000.0)
-                for spec in federation_topology.clusters
-            ),
-            links=federation_topology.links,
-        )
-        routes = plan_spillover(roomy, traces)
+        routes = plan_spillover(_roomy(federation_topology), traces)
         for name, route in routes.items():
             assert route.forwarded_out == 0
             assert route.forwarded_in == 0
@@ -301,12 +471,154 @@ class TestRouter:
             )
 
 
+def _roomy(topology):
+    """The same topology with capacity nothing can overflow."""
+    return FederationTopology(
+        clusters=tuple(
+            dataclasses.replace(spec, capacity_rps=1000.0)
+            for spec in topology.clusters
+        ),
+        links=topology.links,
+    )
+
+
+def _assert_matches_reference(topology, traces, fault_plans=None, **pricing):
+    """``plan_spillover`` must equal the rescanning oracle on every
+    :class:`ClusterRoute` field, in the same key order."""
+    routes = plan_spillover(topology, traces, fault_plans, **pricing)
+    reference = _reference_plan_spillover(topology, traces, fault_plans, **pricing)
+    assert list(routes) == list(reference)
+    for name, want in reference.items():
+        for field in dataclasses.fields(ClusterRoute):
+            assert getattr(routes[name], field.name) == getattr(want, field.name), (
+                name,
+                field.name,
+            )
+    return routes
+
+
+def _oracle_runtime(kind, duration_s, window_s=1.0):
+    return FederationRuntime(
+        small_federation(rate_rps=1.2, capacity_rps=1.6, period_s=duration_s),
+        models=tuple(SERVING_MODELS),
+        duration_s=duration_s,
+        workload_kind=kind,
+        diurnal_period_s=duration_s,
+        diurnal_amplitude=0.8,
+        window_s=window_s,
+    )
+
+
+def _us_west_outage(duration_s):
+    return {
+        "us-west": FaultPlan.ordered(
+            regional_outage(
+                ("desktop", "jetson-b"),
+                0.25 * duration_s,
+                0.75 * duration_s,
+                region="us-west",
+            )
+        )
+    }
+
+
+class TestPlannerOracle:
+    """The bucketed planner against the rescanning reference, bit for bit."""
+
+    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("window_s", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("outage", [False, True])
+    def test_matches_reference_grid(self, kind, seed, window_s, outage):
+        runtime = _oracle_runtime(kind, 60.0, window_s)
+        _assert_matches_reference(
+            runtime.topology,
+            runtime.local_traces(seed),
+            _us_west_outage(60.0) if outage else None,
+            window_s=window_s,
+            payload_mb=runtime.payload_mb,
+        )
+
+    def test_matches_reference_on_long_diurnal_run(self):
+        """Hundreds of overflowing windows, so the grid above cannot pass
+        by never overflowing."""
+        runtime = _oracle_runtime("diurnal", 600.0)
+        routes = _assert_matches_reference(
+            runtime.topology, runtime.local_traces(3), _us_west_outage(600.0)
+        )
+        forwarding_windows = {
+            (decision.origin, int(decision.departure_s / runtime.window_s))
+            for route in routes.values()
+            for decision in route.decisions
+        }
+        assert len(forwarding_windows) >= 100
+
+    def test_matches_reference_on_unsorted_traces(self):
+        """``ArrivalTrace`` does not enforce time order; neither may the
+        window buckets."""
+        runtime = _oracle_runtime("diurnal", 60.0)
+        traces = {}
+        for name, trace in runtime.local_traces(GRID_SEED).items():
+            arrivals = list(trace.arrivals)
+            random.Random(name).shuffle(arrivals)
+            traces[name] = dataclasses.replace(trace, arrivals=tuple(arrivals))
+        times = [a.time for a in traces["us-west"].arrivals]
+        assert times != sorted(times)
+        routes = _assert_matches_reference(runtime.topology, traces)
+        assert sum(route.forwarded_out for route in routes.values()) > 0
+
+    def test_matches_reference_on_negative_times(self):
+        """Arrivals before ``-window_s`` lie outside the trace contract; the
+        planner still counts them where the rescan did and never forwards
+        them."""
+        runtime = _oracle_runtime("diurnal", 30.0)
+        traces = runtime.local_traces(GRID_SEED)
+        early = (Arrival(time=-1.5, model_name=SERVING_MODELS[0]),) * 3
+        traces["us-west"] = dataclasses.replace(
+            traces["us-west"], arrivals=early + traces["us-west"].arrivals
+        )
+        routes = _assert_matches_reference(runtime.topology, traces)
+        assert all(d.index >= len(early) for d in routes["us-west"].decisions)
+
+    @pytest.mark.parametrize("payload_mb", [-1.0, float("nan"), float("inf")])
+    def test_bad_payload_rejected_before_planning(self, federation_topology, payload_mb):
+        """Rejected whether or not any window overflows (the per-request WAN
+        pricing used to catch it only once one did)."""
+        runtime = _oracle_runtime("diurnal", 30.0)
+        traces = runtime.local_traces(GRID_SEED)
+        roomy = _roomy(federation_topology)
+        assert not any(r.forwarded_out for r in plan_spillover(roomy, traces).values())
+        assert any(
+            r.forwarded_out for r in plan_spillover(federation_topology, traces).values()
+        )
+        for topology in (roomy, federation_topology):
+            with pytest.raises(ValueError, match="payload_mb"):
+                plan_spillover(topology, traces, payload_mb=payload_mb)
+            with pytest.raises(ValueError, match="payload_mb"):
+                plan_spillover(topology, traces, spillover=False, payload_mb=payload_mb)
+
+    def test_zero_payload_prices_latency_only(self, federation_topology):
+        traces = _oracle_runtime("diurnal", 30.0).local_traces(GRID_SEED)
+        routes = _assert_matches_reference(federation_topology, traces, payload_mb=0.0)
+        for route in routes.values():
+            for decision in route.decisions:
+                link = federation_topology.link(decision.origin, decision.destination)
+                assert decision.arrival_s == decision.departure_s + link.latency_s
+
+
 class TestRuntimeAndCli:
     def test_runtime_validation(self, federation_topology):
         with pytest.raises(ValueError):
             FederationRuntime(federation_topology, duration_s=0.0)
         with pytest.raises(ValueError):
             FederationRuntime(federation_topology, models=())
+        for window_s in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="window_s"):
+                FederationRuntime(federation_topology, window_s=window_s)
+        for payload_mb in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="payload_mb"):
+                FederationRuntime(federation_topology, payload_mb=payload_mb)
+        assert FederationRuntime(federation_topology, payload_mb=0.0).payload_mb == 0.0
 
     def test_per_cluster_seeds_are_independent(self, federation_topology):
         """Cluster streams derive from the cluster name: distinct per
