@@ -16,7 +16,13 @@ Bound (per request class, fanned out in request order):
   over every device whose total memory fits the module (and the cheapest
   head host when the head is also unassigned);
 - the head costs its compute time, minimized over fitting devices while
-  unassigned; the parallel encoder stage takes the max over path bounds.
+  unassigned; the parallel encoder stage takes the max over path bounds;
+- slot contention: a device whose assigned encoders overflow its
+  ``parallel_slots`` charges at least its load over its slots plus the
+  cheapest transfers of any path that may still finish there; while an
+  encoder is being placed, each other unassigned path pays, on its
+  cheapest fitting device, that device's contention if it joined it (the
+  *join floor*).
 
 Every term is a min/max/sum over the *same precomputed floats*
 (:mod:`repro.core.placement.tensors`) the exact objective uses, and
@@ -86,32 +92,43 @@ class _GroupBound:
             )
         self.head_comp = group.head_comp
         self.head_min = float(np.min(group.head_comp[head_fit]))
-        # Per encoder path e (arrays over the device axis):
-        #   A[e][ne]          in_comm + compute with the encoder on ne
-        #   enc_assigned[e]   A + (cheapest out over fitting head hosts)
-        #   head_assigned[e]  cheapest (A + out[:, nh]) over fitting encoder hosts
-        #   free[e]           cheapest over both endpoints
-        self.A: List[np.ndarray] = []
-        self.enc_assigned: List[np.ndarray] = []
-        self.head_assigned: List[np.ndarray] = []
-        self.free: List[float] = []
-        self.out_min: List[np.ndarray] = []
         for e, idx in enumerate(group.encoder_idx):
-            fit = tensors.fits[idx]
-            if not fit.any():
+            if not tensors.fits[idx].any():
                 raise PlacementError(
                     f"module {group.encoder_names[e]!r} fits on no device; "
                     "apply compression or intra-module partitioning first (paper Sec. V-B)"
                 )
-            A = group.in_comm[e] + group.enc_comp[e]
-            out = group.out[e]
-            out_min = np.min(out[:, head_fit], axis=1)
-            masked = np.where(fit[:, None], A[:, None] + out, np.inf)
-            self.A.append(A)
-            self.out_min.append(out_min)
-            self.enc_assigned.append(A + out_min)
-            self.head_assigned.append(np.min(masked, axis=0))
-            self.free.append(float(np.min(self.enc_assigned[e][fit])))
+        # Per-path stacks, row e = encoder path e, column = device:
+        #   A[e][ne]          in_comm + compute with the encoder on ne
+        #   enc_assigned[e]   A + (cheapest out over fitting head hosts)
+        #   head_assigned[e]  cheapest (A + out[:, nh]) over fitting encoder hosts
+        #   free[e]           cheapest over both endpoints
+        n_paths, n_devices = len(group.encoder_idx), len(group.head_comp)
+        self.encoder_rows = np.array(group.encoder_idx, dtype=np.int64)
+        self.fit = tensors.fits[self.encoder_rows]
+        self.in_comm = np.array(group.in_comm, dtype=np.float64).reshape(n_paths, n_devices)
+        self.enc_comp = np.array(group.enc_comp, dtype=np.float64).reshape(n_paths, n_devices)
+        out = np.array(group.out, dtype=np.float64).reshape(n_paths, n_devices, n_devices)
+        self.A = self.in_comm + self.enc_comp
+        self.out_min = np.min(out[:, :, head_fit], axis=2)
+        self.enc_assigned = self.A + self.out_min
+        with_head = self.A[:, :, None] + out  # [e, encoder host, head host]
+        self.head_assigned = np.min(np.where(self.fit[:, :, None], with_head, np.inf), axis=1)
+        self.free: List[float] = [
+            float(np.min(self.enc_assigned[e][self.fit[e]])) for e in range(n_paths)
+        ]
+        # Per head host nh (index -1: head unassigned), each path's cost
+        # on every encoder host and the out-transfer floor it pays there.
+        self.paths = np.concatenate([with_head.transpose(2, 0, 1), self.enc_assigned[None]])
+        self.outs = np.concatenate([out.transpose(2, 0, 1), self.out_min[None]])
+        # Contention rows: each path's compute joining a device, then none.
+        self.join_comp = np.vstack([self.enc_comp, np.zeros(n_devices)])
+        self.slots = np.array(tensors.slots, dtype=np.int64)
+        self.devices = np.arange(n_devices)
+        self.rows_of = {
+            idx: [e for e, i in enumerate(group.encoder_idx) if i == idx]
+            for idx in group.encoder_idx
+        }
 
     # ------------------------------------------------------------------
     # Contention: Eq. 2's max is blind to ``parallel_slots`` until queue
@@ -212,6 +229,9 @@ class _GroupBound:
             return self._exact_vector(assign, module_index)
         nh = int(assign[self.head_idx])
         head_here = module_index == self.head_idx
+        head = self.head_comp if head_here else (self.head_comp[nh] if nh >= 0 else self.head_min)
+        if self.parallel and not head_here:
+            return self._encoder_stage_vector(assign, module_index, nh) + head
         terms: List[object] = []  # scalars and [N] vectors, in path order
         for e, idx in enumerate(self.encoder_idx):
             ne = int(assign[idx])
@@ -247,37 +267,59 @@ class _GroupBound:
             encoder = terms[0]
             for term in terms[1:]:
                 encoder = np.maximum(encoder, term)
+            # Contention with the head's endpoint still open is admissible
+            # for every head candidate.
+            base = self._contention(assign, -1)
+            if base > 0.0:
+                encoder = np.maximum(encoder, base)
         else:
             encoder = 0.0
             for term in terms:
                 encoder = encoder + term
-        if terms and self.parallel:
-            # Base contention (moving module still unassigned) is admissible
-            # for every candidate; candidates that oversubscribe a device's
-            # slots with the newcomer get the tightened per-device term.
-            base = self._contention(assign, -1 if head_here else nh)
-            if base > 0.0:
-                encoder = np.maximum(encoder, base)
-            if not head_here:
-                encoder = np.asarray(encoder, dtype=np.float64) + np.zeros(len(self.head_comp))
-                loads, members, unassigned = self._contention_state(assign)
-                e0 = next(
-                    e for e in range(len(self.encoder_idx))
-                    if self.encoder_idx[e] == module_index
-                )
-                joiners = [e for e in unassigned if e != e0]
-                for n in range(len(self.head_comp)):
-                    here = members.get(n, ())
-                    if len(here) + 1 <= self.tensors.slots[n]:
-                        continue
-                    load = loads.get(n, 0.0) + float(self.group.enc_comp[e0][n])
-                    term = self._contention_term(n, list(here) + [e0] + joiners, load, nh)
-                    if term > encoder[n]:
-                        encoder[n] = term
-        head = self.head_comp if head_here else (self.head_comp[nh] if nh >= 0 else self.head_min)
         return np.broadcast_to(
             np.asarray(encoder + head, dtype=np.float64), self.head_comp.shape
         ).copy()
+
+    def _encoder_stage_vector(self, assign: np.ndarray, module_index: int, nh: int) -> np.ndarray:
+        """Parallel encoder-stage bound per candidate device for placing the
+        encoder ``module_index`` (the head, if placed, sits on ``nh``).
+
+        Each device's contention term is priced once, for its pool (assigned
+        members plus every unassigned path), under three loads: the assigned
+        load alone (base contention, admissible for every candidate), plus
+        the moving encoder's compute (its per-candidate term), plus each
+        other unassigned path's compute (that path's *join floor*).
+
+        The join floor bounds an unassigned path ``e`` by the cheapest
+        device ``n`` that fits it of ``max(path_e(n), join_e(n))``: every
+        completion puts ``e`` on some fitting ``n``, where ``e`` pays at
+        least its transfer + compute path and, when ``n``'s slots overflow,
+        the makespan of a pool that only shrinks and a load that only grows
+        as the search descends.  Every term is a min/max over the floats
+        :meth:`lower_bound` and :meth:`_contention_term` use.
+        """
+        hosts = assign[self.encoder_rows]
+        on = hosts[:, None] == self.devices
+        unplaced = hosts < 0
+        pool = on | unplaced[:, None]
+        path, out = self.paths[nh], self.outs[nh]
+        counts = on.sum(axis=0)
+        # accumulate, not sum: path-order addition, as _contention_state does.
+        loads = np.add.accumulate(np.where(on, self.enc_comp, 0.0), axis=0)[-1]
+        in_min = np.where(pool, self.in_comm, np.inf).min(axis=0)
+        out_floor = np.where(pool, out, np.inf).min(axis=0)
+        terms = (in_min + (loads + self.join_comp) / self.slots + out_floor) * self._CONTENTION_SLACK
+        base = np.where(counts > self.slots, terms[-1], 0.0).max()
+        joined = np.maximum(path, np.where(counts + 1 > self.slots, terms[:-1], 0.0))
+        rows = self.rows_of[module_index]
+        unplaced[rows] = False
+        floors = np.where(self.fit, joined, np.inf).min(axis=1)
+        stage = max(
+            base,
+            np.where(on, path, 0.0).max(),
+            np.where(unplaced, floors, 0.0).max(),
+        )
+        return np.maximum(joined[rows].max(axis=0), stage)
 
     def _exact_vector(self, assign: np.ndarray, module_index: int) -> np.ndarray:
         """True group latency per candidate device for the last free member.
