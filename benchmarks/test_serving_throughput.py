@@ -10,7 +10,13 @@ latency at each point.  Asserts the qualitative serving claims:
 - micro-batching beats one-at-a-time service on a bursty stream.
 """
 
+import sys
+from pathlib import Path
+
 from repro.serving import ServingRuntime, SLOPolicy, WorkloadGenerator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from golden.serving_cases import golden_digests  # noqa: E402
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small", "image-classification-vitb16"]
 DURATION_S = 60.0
@@ -120,5 +126,6 @@ def test_flat_engine_beats_process_engine(benchmark, once, capsys):
         )
         print(f"speedup : {legacy_wall / flat_wall:.1f}x")
     assert flat.metrics_tuple() == legacy.metrics_tuple()
+    assert flat.digest() == legacy.digest() == golden_digests()["bench/overload-8k"]
     assert flat.completed + flat.rejected == flat.arrivals
     assert legacy_wall > 2.0 * flat_wall

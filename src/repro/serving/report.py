@@ -13,7 +13,8 @@ second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import astuple, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -277,6 +278,51 @@ class ServingReport:
             self.timed_out,
         )
 
+    def digest(self) -> str:
+        """A stable content hash of the whole run (sha256 hex).
+
+        Covers :meth:`metrics_tuple`, every record (request ids rebased to
+        the run's smallest non-negative id: the id counter is process-wide,
+        so back-to-back runs of one trace number their requests from
+        different offsets), and the migration, churn, scaling, brownout and
+        energy logs.  Only Python builtins are hashed — numpy scalars are
+        cast first — so numpy 1.x and 2.x reprs give the same digest.  The
+        golden digests under ``tests/golden/`` pin the serving engine's
+        event order through this hash.
+        """
+        base = min((r.request_id for r in self.records if r.request_id >= 0), default=0)
+        records = [
+            (
+                int(r.request_id) - base if r.request_id >= 0 else int(r.request_id),
+                r.model_name,
+                float(r.arrival_time),
+                float(r.slo_s),
+                bool(r.admitted),
+                r.rejected_reason,
+                None if r.finish_time is None else float(r.finish_time),
+                int(r.retries),
+                bool(r.timed_out),
+            )
+            for r in self.records
+        ]
+        energy = None
+        if self.energy is not None:
+            energy = (
+                self.energy.horizon_s,
+                [astuple(device) for device in self.energy.devices],
+            )
+        logs = _builtins(
+            (
+                self.metrics_tuple(),
+                [astuple(m) for m in self.migrations],
+                [astuple(c) for c in self.churn],
+                [astuple(s) for s in self.scaling],
+                [astuple(b) for b in self.brownout],
+                energy,
+            )
+        )
+        return hashlib.sha256(repr((logs, records)).encode()).hexdigest()
+
     def render(self, show_energy: bool = False) -> str:
         """Human-readable report for the CLI (``show_energy`` appends the
         per-device energy ledger when accounting was tracked)."""
@@ -351,6 +397,16 @@ class ServingReport:
                     f"radio {d.radio_j:7.3f} J  total {d.total_j:10.1f} J"
                 )
         return "\n".join(lines)
+
+
+def _builtins(value):
+    """``value`` with every numpy scalar cast to its Python builtin,
+    recursing through tuples and lists (lists come back as tuples)."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (tuple, list)):
+        return tuple(_builtins(item) for item in value)
+    return value
 
 
 def build_report_arrays(

@@ -33,6 +33,7 @@ from repro.utils.errors import PlacementError
 from repro.utils.seeding import rng_for
 
 from conftest import seeded_noisy_problem
+from golden.serving_cases import golden_digests
 
 
 def noisy_problem(models, devices, seed, sigma=0.06):
@@ -432,6 +433,8 @@ class TestServingEnergyConservation:
 
         runtime, report = self._run(engine="processes")
         assert report.energy is not None
+        # The golden digest freezes these legacy-checked energy values.
+        assert report.digest() == golden_digests()["energy/span-integral"]
         horizon = runtime._sim.now
         assert report.energy.horizon_s == horizon
         # Independent recomputation of each device's busy union from the

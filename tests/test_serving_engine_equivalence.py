@@ -16,36 +16,11 @@ the per-run minimum (relative order and density must still match exactly).
 
 import pytest
 
-from repro.serving import (
-    BrownoutPolicy,
-    RetryPolicy,
-    ServingRuntime,
-    SLOPolicy,
-    WorkloadGenerator,
-    fault_scenario,
-    generate_churn,
-)
+from repro.serving import ServingRuntime
+
+from golden.serving_cases import equivalence_config, equivalence_names, golden_digests, serve
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
-
-
-def _run(engine, *, kind="poisson", rate=0.4, duration=30.0, seed=0,
-         churn_rate=0.0, faults=None, runtime_kwargs=None):
-    trace = WorkloadGenerator(
-        MODELS, kind=kind, rate_rps=rate, duration_s=duration, seed=seed
-    ).generate()
-    runtime = ServingRuntime(MODELS, engine=engine, **(runtime_kwargs or {}))
-    churn = ()
-    if churn_rate:
-        churn = generate_churn(
-            runtime.device_names,
-            requester=runtime.requester,
-            rate_per_s=churn_rate,
-            duration_s=duration,
-            seed=seed,
-        )
-    plan = fault_scenario(faults, duration_s=duration, seed=seed) if faults else None
-    return runtime.run(trace, churn_events=churn, faults=plan)
 
 
 def _normalized_records(report):
@@ -80,128 +55,25 @@ def assert_reports_identical(flat, legacy):
     assert flat.completed + flat.rejected + flat.timed_out == flat.arrivals
 
 
-CONFIGS = [
-    pytest.param(dict(kind="poisson"), id="poisson-plain"),
-    pytest.param(
-        dict(kind="bursty", runtime_kwargs=dict(batch_window_s=0.05)),
-        id="bursty-batch-window",
-    ),
-    pytest.param(
-        dict(kind="diurnal", runtime_kwargs=dict(slo=SLOPolicy(admission=False))),
-        id="diurnal-no-admission",
-    ),
-    pytest.param(dict(kind="poisson", churn_rate=0.08, seed=4), id="poisson-churn"),
-    pytest.param(
-        dict(kind="bursty", churn_rate=0.06, seed=2,
-             runtime_kwargs=dict(batch_window_s=0.1)),
-        id="bursty-churn-window",
-    ),
-    pytest.param(
-        dict(kind="poisson", rate=1.5, seed=5,
-             runtime_kwargs=dict(autoscale=True, replicate=False)),
-        id="poisson-autoscale",
-    ),
-    pytest.param(
-        dict(kind="bursty", rate=0.8, churn_rate=0.05, seed=7,
-             runtime_kwargs=dict(autoscale=True, replicate=False)),
-        id="bursty-autoscale-churn",
-    ),
-    pytest.param(
-        dict(kind="diurnal", churn_rate=0.05, seed=9,
-             runtime_kwargs=dict(track_energy=False)),
-        id="diurnal-churn-no-energy",
-    ),
-    pytest.param(
-        dict(kind="poisson", runtime_kwargs=dict(replicate=False), seed=11),
-        id="poisson-single-copy",
-    ),
-    pytest.param(
-        dict(kind="bursty", runtime_kwargs=dict(max_batch_size=1), seed=13),
-        id="bursty-no-batching",
-    ),
-    # Congestion-aware deployment: the queue-aware planner closure runs
-    # inside each engine's deploy path, so any fork there shows up as a
-    # report mismatch.
-    pytest.param(
-        dict(kind="bursty", rate=1.2, seed=17,
-             runtime_kwargs=dict(congestion_aware=True, replicate=False)),
-        id="bursty-congestion-aware",
-    ),
-    pytest.param(
-        dict(kind="poisson", rate=0.8, seed=19,
-             runtime_kwargs=dict(congestion_aware=True,
-                                 slo=SLOPolicy(admission=False))),
-        id="poisson-congestion-aware-no-admission",
-    ),
-    # Fault scenarios: correlated regional crash/recovery, straggler
-    # slowdown windows, and link degradation/partition all run through
-    # each engine's fault walker; degradation machinery (per-attempt
-    # timeouts, bounded retries, brownout shedding) must fork identically.
-    pytest.param(
-        dict(kind="bursty", rate=0.6, seed=7, faults="regional-outage",
-             runtime_kwargs=dict(slo=SLOPolicy(admission=False))),
-        id="bursty-regional-outage",
-    ),
-    pytest.param(
-        dict(kind="poisson", rate=0.8, seed=3, faults="flash-crowd-stragglers",
-             runtime_kwargs=dict(
-                 retry=RetryPolicy(timeout_s=6.0, max_retries=3, backoff_s=0.05))),
-        id="poisson-stragglers-retry",
-    ),
-    pytest.param(
-        dict(kind="bursty", rate=0.6, seed=7, faults="flaky-links",
-             runtime_kwargs=dict(
-                 slo=SLOPolicy(admission=False),
-                 retry=RetryPolicy(timeout_s=6.0, max_retries=3, backoff_s=0.05),
-                 brownout=BrownoutPolicy(interval_s=0.5, high_backlog_s=1.5,
-                                         low_backlog_s=0.5))),
-        id="bursty-flaky-links-graceful",
-    ),
-    pytest.param(
-        dict(kind="poisson", rate=1.2, seed=11, faults="regional-outage",
-             runtime_kwargs=dict(
-                 autoscale=True, replicate=False,
-                 retry=RetryPolicy(timeout_s=8.0, max_retries=5))),
-        id="poisson-outage-autoscale-retry",
-    ),
-    pytest.param(
-        dict(kind="bursty", rate=0.8, seed=2, churn_rate=0.05,
-             faults="flash-crowd-stragglers",
-             runtime_kwargs=dict(
-                 brownout=BrownoutPolicy(interval_s=0.5, high_backlog_s=1.0,
-                                         low_backlog_s=0.25))),
-        id="bursty-stragglers-churn-brownout",
-    ),
-]
+GOLDEN = golden_digests()
+
+
+def _golden_run(name, engine):
+    return serve(**equivalence_config(name), engine=engine)
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_flat_matches_legacy(self, config):
-        kwargs = dict(config)
-        flat = _run("flat", **kwargs)
-        legacy = _run("processes", **kwargs)
+    @pytest.mark.parametrize("name", equivalence_names())
+    def test_flat_matches_legacy_and_golden(self, name):
+        flat = _golden_run(name, "flat")
+        legacy = _golden_run(name, "processes")
         assert_reports_identical(flat, legacy)
+        assert flat.digest() == legacy.digest() == GOLDEN[f"equivalence/{name}"]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_randomized_seeds_poisson_churn(self, seed):
-        kwargs = dict(kind="poisson", rate=0.6, duration=25.0, seed=seed,
-                      churn_rate=0.1)
-        flat = _run("flat", **kwargs)
-        legacy = _run("processes", **kwargs)
-        assert_reports_identical(flat, legacy)
-
-    def test_scaling_adds_and_drops_match(self):
-        """A config known to exercise scale-up (with load cost), scale-down,
-        and churn-driven migration in the same run."""
-        kwargs = dict(
-            kind="poisson", rate=1.5, duration=60.0, seed=6,
-            runtime_kwargs=dict(autoscale=True, replicate=False,
-                                scale_down_idle_rounds=2),
-        )
-        flat = _run("flat", **kwargs)
-        legacy = _run("processes", **kwargs)
-        assert_reports_identical(flat, legacy)
+    def test_scaling_adds_and_drops(self):
+        """The scale-up-down case exercises scale-up (with load cost),
+        scale-down, and churn-driven migration in the same run."""
+        flat = _golden_run("scale-up-down", "flat")
         assert any(s.action == "add" and s.applied for s in flat.scaling)
         assert any(s.action == "drop" and s.applied for s in flat.scaling)
 
@@ -214,8 +86,8 @@ class TestEngineEquivalence:
 
     def test_keep_records_false_drops_records_only(self):
         kwargs = dict(kind="poisson", duration=20.0, seed=3)
-        with_records = _run("flat", **kwargs)
-        without = _run("flat", runtime_kwargs=dict(keep_records=False), **kwargs)
+        with_records = serve(**kwargs)
+        without = serve(runtime_kwargs=dict(keep_records=False), **kwargs)
         assert without.records == ()
         assert without.metrics_tuple() == with_records.metrics_tuple()
         assert without.energy == with_records.energy

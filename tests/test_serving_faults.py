@@ -38,6 +38,14 @@ from repro.serving import (
 )
 from repro.serving.churn import DeviceChurnEvent
 
+from golden.serving_cases import (
+    FAULT_GRID_SCENARIOS,
+    fault_case,
+    fault_grid_config,
+    golden_digests,
+    serve,
+)
+
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 
 
@@ -325,50 +333,22 @@ class TestRetryPolicyValidation:
         assert policy.backoff_delay(100) == policy.backoff_delay(16)
 
 
-def _digest(report):
-    base = min((r.request_id for r in report.records if r.request_id >= 0), default=0)
-    records = tuple(
-        (
-            r.request_id - base if r.request_id >= 0 else r.request_id,
-            r.model_name, r.arrival_time, r.finish_time, r.slo_s,
-            r.rejected_reason, r.retries, r.timed_out,
-        )
-        for r in report.records
-    )
-    return (
-        report.metrics_tuple(), records, tuple(report.migrations),
-        tuple(report.churn), tuple(report.scaling), tuple(report.brownout),
-    )
-
-
 class TestConservationAndDeterminism:
     """The property grid: fault type x engine x autoscale."""
 
-    @pytest.mark.parametrize("scenario", [
-        "regional-outage", "flash-crowd-stragglers", "flaky-links"
-    ])
+    @pytest.mark.parametrize("scenario", FAULT_GRID_SCENARIOS)
     @pytest.mark.parametrize("engine", ["flat", "processes"])
     @pytest.mark.parametrize("autoscale", [False, True])
     def test_widened_conservation_and_same_seed_determinism(
         self, scenario, engine, autoscale
     ):
-        kwargs = dict(
-            slo=SLOPolicy(admission=False),
-            retry=RetryPolicy(timeout_s=4.0, max_retries=2, backoff_s=0.05),
-            brownout=BrownoutPolicy(interval_s=0.5, high_backlog_s=1.0,
-                                    low_backlog_s=0.25),
-            engine=engine,
-        )
-        if autoscale:
-            kwargs.update(autoscale=True, replicate=False)
-        plan = fault_scenario(scenario, duration_s=20.0, seed=9)
         digests = []
         for _ in range(2):
-            trace = _trace(kind="bursty", rate=0.8, duration=20.0, seed=9)
-            report = ServingRuntime(MODELS, **kwargs).run(trace, faults=plan)
+            report = serve(**fault_grid_config(scenario, autoscale), engine=engine)
             assert (
                 report.completed + report.rejected + report.timed_out
                 == report.arrivals
             ), f"conservation violated under {scenario}/{engine}/autoscale={autoscale}"
-            digests.append(_digest(report))
+            digests.append(report.digest())
         assert digests[0] == digests[1], "same seed must reproduce the run exactly"
+        assert digests[0] == golden_digests()[fault_case(scenario, autoscale)]
