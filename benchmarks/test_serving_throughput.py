@@ -16,7 +16,7 @@ from pathlib import Path
 from repro.serving import ServingRuntime, SLOPolicy, WorkloadGenerator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from golden.serving_cases import golden_digests  # noqa: E402
+from golden.serving_cases import OVERLOAD_8K, golden_digests, serve  # noqa: E402
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small", "image-classification-vitb16"]
 DURATION_S = 60.0
@@ -94,38 +94,24 @@ def test_micro_batching_beats_serial_service(benchmark, once, capsys):
     assert batched.latency.p95 <= serial.latency.p95 * 1.01
 
 
-def test_flat_engine_beats_process_engine(benchmark, once, capsys):
-    """The vectorized event-loop engine vs the generator-process engine on
-    the identical overloaded trace: reports must agree metric for metric,
-    and the flat engine must be decisively faster (the checked-in
-    ``BENCH_serving.json`` gates >= 10x at 100k arrivals; this in-suite
-    point is smaller and uses a looser bar so CI never flakes on it)."""
+def test_flat_engine_overload_golden(benchmark, once, capsys):
+    """The serving engine on an overloaded 8k-arrival trace: the report
+    must match its golden digest (frozen while the retired
+    generator-process engine agreed with it) and conserve every arrival.
+    Throughput is tracked by the repo benchmark (``perfbench/``), whose
+    ``serve-degraded`` ``wall_s`` bound gates regressions on every change.
+    """
     import time
 
-    trace = WorkloadGenerator(
-        MODELS, kind="poisson", rate_rps=20.0, duration_s=400.0, seed=0
-    ).generate()
-
-    def run_pair():
+    def run():
         start = time.perf_counter()
-        flat = ServingRuntime(MODELS, engine="flat").run(trace)
-        flat_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        legacy = ServingRuntime(MODELS, engine="processes").run(trace)
-        legacy_wall = time.perf_counter() - start
-        return flat, flat_wall, legacy, legacy_wall
+        report = serve(**OVERLOAD_8K)
+        return report, time.perf_counter() - start
 
-    flat, flat_wall, legacy, legacy_wall = once(benchmark, run_pair)
+    report, wall = once(benchmark, run)
     with capsys.disabled():
         print()
-        print(
-            f"flat    : {flat_wall:.3f}s ({flat.arrivals / flat_wall:,.0f} arrivals/s)"
-        )
-        print(
-            f"legacy  : {legacy_wall:.3f}s ({legacy.arrivals / legacy_wall:,.0f} arrivals/s)"
-        )
-        print(f"speedup : {legacy_wall / flat_wall:.1f}x")
-    assert flat.metrics_tuple() == legacy.metrics_tuple()
-    assert flat.digest() == legacy.digest() == golden_digests()["bench/overload-8k"]
-    assert flat.completed + flat.rejected == flat.arrivals
-    assert legacy_wall > 2.0 * flat_wall
+        print(f"flat    : {wall:.3f}s ({report.arrivals / wall:,.0f} arrivals/s)")
+    assert report.arrivals > 7000
+    assert report.completed + report.rejected + report.timed_out == report.arrivals
+    assert report.digest() == golden_digests()["bench/overload-8k"]

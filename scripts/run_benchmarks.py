@@ -11,13 +11,13 @@ branch-and-bound vs. brute force under a latency budget, see
 ``docs/energy.md``), the replica sweep (replica branch-and-bound vs.
 brute-force host-set enumeration, plus the serving autoscaler vs. static
 replication under bursty overload, see ``docs/placement.md``), and the
-serving-engine sweep (the flat vectorized event loop vs. the legacy
-generator-process engine at 100k-arrival scale, plus a flat-only
-million-arrival replay, see ``docs/serving.md``), and the queue-aware
+serving-engine sweep (the flat event loop at 100k-arrival scale, each row
+checked against its golden report digest, plus a million-arrival replay,
+see ``docs/serving.md``), and the queue-aware
 solver-vs-serving validation sweep (predicted vs serving-measured latency
 on queue-aware and queue-blind placements, see ``docs/performance.md``),
 and the fault-scenario resilience study (named fault scenarios served
-with and without graceful degradation, with conservation, engine-identity
+with and without graceful degradation, with conservation, golden-digest
 and determinism gates, see ``docs/serving.md``), and the WAN federation
 study (three timezone-offset clusters with spillover routing vs isolated,
 with cross-cluster conservation, parallel-vs-sequential merge
@@ -47,6 +47,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 FULL_SWEEP = [(3, 4), (4, 5), (6, 8), (8, 16), (10, 24), (10, 32)]
 SMOKE_SWEEP = [(3, 4), (6, 8), (8, 16)]
@@ -58,10 +59,8 @@ ENERGY_SMOKE_SWEEP = [(3, 4), (6, 8)]
 REPLICA_FULL_SWEEP = [(3, 4, 2), (4, 5, 2), (4, 5, 3), (4, 6, 2), (5, 8, 2)]
 REPLICA_SMOKE_SWEEP = [(3, 4, 2), (4, 5, 2)]
 #: (label, kind, rate_rps, duration_s).  Each full point replays ~100k
-#: arrivals through BOTH serving engines; the flat/legacy speedup grows
-#: with offered load because the legacy engine recomputes isolated latency
-#: and queue pressure per arrival while the flat engine prices from
-#: per-generation caches (see docs/serving.md).
+#: arrivals; every row's report must match its golden digest in
+#: ``tests/golden/serving_digests.json`` (see docs/serving.md).
 SERVING_FULL_SWEEP = [
     ("capacity", "poisson", 2.0, 50000.0),
     ("overload", "poisson", 20.0, 5000.0),
@@ -71,15 +70,10 @@ SERVING_SMOKE_SWEEP = [
     ("capacity", "poisson", 2.0, 500.0),
     ("overload", "poisson", 20.0, 500.0),
 ]
-#: The million-arrival replay (flat engine only; the sweep rows above
-#: already pin flat == legacy at 100k arrivals).
+#: The million-arrival replay (records off, so no digest; the sweep rows
+#: above pin the reports at 100k arrivals).
 SERVING_REPLAY_FULL = ("poisson", 2.0, 500000.0)
 SERVING_REPLAY_SMOKE = ("poisson", 20.0, 1000.0)
-#: Speedup gates for the "overload" sweep row.  The full gate is the
-#: PR-level acceptance bar; smoke uses a loose bar so shared CI runners
-#: don't flake the build on scheduler noise.
-SERVING_SPEEDUP_GATE_FULL = 10.0
-SERVING_SPEEDUP_GATE_SMOKE = 2.0
 SERVING_MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 #: Validation sweep points: sub-saturation rows gate predicted-vs-measured
 #: tracking; the >= 1 rps row is the overload point where the queue-aware
@@ -414,57 +408,47 @@ def bench_serving_churn(duration_s: float) -> dict:
     }
 
 
-def bench_serving_engines(
+def bench_serving_sweep(
     label: str, kind: str, rate_rps: float, duration_s: float, *, seed: int = 0,
-    flat_repeats: int = 2,
+    repeats: int = 2,
 ) -> dict:
-    """Replay one trace through both serving engines; record the speedup.
+    """Replay one trace through the serving engine, best of ``repeats``.
 
-    The flat engine is timed best-of-``flat_repeats`` (it is fast enough to
-    repeat); the legacy generator-process engine runs once.  The reports
-    must agree on every aggregate metric — the per-record bit-identity is
-    pinned separately by ``tests/test_serving_engine_equivalence.py``.
+    The report must match its golden digest (``golden_ok``): the digests
+    were frozen while the retired generator-process engine agreed with the
+    flat one on every sweep row.
     """
+    from golden.serving_cases import golden_digests, sweep_case
+
     from repro.serving import ServingRuntime, WorkloadGenerator
 
-    def run(engine: str, repeats: int):
-        best_wall = None
-        report = None
-        for _ in range(repeats):
-            trace = WorkloadGenerator(
-                SERVING_MODELS, kind=kind, rate_rps=rate_rps,
-                duration_s=duration_s, seed=seed,
-            ).generate()
-            runtime = ServingRuntime(SERVING_MODELS, engine=engine)
-            start = time.perf_counter()
-            report = runtime.run(trace)
-            wall = time.perf_counter() - start
-            if best_wall is None or wall < best_wall:
-                best_wall = wall
-        return best_wall, report
-
-    flat_wall, flat = run("flat", flat_repeats)
-    legacy_wall, legacy = run("processes", 1)
+    best_wall = None
+    report = None
+    for _ in range(repeats):
+        trace = WorkloadGenerator(
+            SERVING_MODELS, kind=kind, rate_rps=rate_rps,
+            duration_s=duration_s, seed=seed,
+        ).generate()
+        runtime = ServingRuntime(SERVING_MODELS)
+        start = time.perf_counter()
+        report = runtime.run(trace)
+        wall = time.perf_counter() - start
+        if best_wall is None or wall < best_wall:
+            best_wall = wall
     return {
         "label": label,
         "workload": kind,
         "rate_rps": rate_rps,
         "duration_s": duration_s,
         "seed": seed,
-        "arrivals": flat.arrivals,
-        "flat_wall_s": round(flat_wall, 4),
-        "flat_arrivals_per_s": round(flat.arrivals / flat_wall, 1),
-        "legacy_wall_s": round(legacy_wall, 4),
-        "legacy_arrivals_per_s": round(legacy.arrivals / legacy_wall, 1),
-        "speedup": round(legacy_wall / flat_wall, 2),
-        "flat_matches_legacy": flat.metrics_tuple() == legacy.metrics_tuple(),
-        "conservation_ok": (
-            flat.completed + flat.rejected == flat.arrivals
-            and legacy.completed + legacy.rejected == legacy.arrivals
-        ),
-        "completed": flat.completed,
-        "rejected": flat.rejected,
-        "p95_s": round(flat.latency.p95, 4),
+        "arrivals": report.arrivals,
+        "wall_s": round(best_wall, 4),
+        "arrivals_per_s": round(report.arrivals / best_wall, 1),
+        "golden_ok": report.digest() == golden_digests().get(sweep_case(label, duration_s)),
+        "conservation_ok": report.completed + report.rejected == report.arrivals,
+        "completed": report.completed,
+        "rejected": report.rejected,
+        "p95_s": round(report.latency.p95, 4),
     }
 
 
@@ -476,7 +460,7 @@ def bench_serving_replay(kind: str, rate_rps: float, duration_s: float, *, seed:
         SERVING_MODELS, kind=kind, rate_rps=rate_rps,
         duration_s=duration_s, seed=seed,
     ).generate()
-    runtime = ServingRuntime(SERVING_MODELS, engine="flat", keep_records=False)
+    runtime = ServingRuntime(SERVING_MODELS, keep_records=False)
     start = time.perf_counter()
     report = runtime.run(trace)
     wall_s = time.perf_counter() - start
@@ -495,25 +479,6 @@ def bench_serving_replay(kind: str, rate_rps: float, duration_s: float, *, seed:
     }
 
 
-def _report_digest(report) -> tuple:
-    """Everything two runs must agree on, with request ids rebased (the
-    engine's id counter is process-global, so back-to-back runs of the
-    same trace number their requests from different offsets)."""
-    base = min((r.request_id for r in report.records if r.request_id >= 0), default=0)
-    records = tuple(
-        (
-            r.request_id - base if r.request_id >= 0 else r.request_id,
-            r.model_name, r.arrival_time, r.finish_time, r.slo_s,
-            r.rejected_reason, r.retries, r.timed_out,
-        )
-        for r in report.records
-    )
-    return (
-        report.metrics_tuple(), records, tuple(report.migrations),
-        tuple(report.churn), tuple(report.scaling), tuple(report.brownout),
-    )
-
-
 def bench_resilience(smoke: bool) -> dict:
     """Fault scenarios with and without graceful degradation (gated).
 
@@ -524,11 +489,13 @@ def bench_resilience(smoke: bool) -> dict:
     (scenario, configuration) cell, (b) the graceful configuration
     (timeouts + retry budget + brownout) beating the degradation-off
     baseline on goodput **or** p95 in the regional-outage and straggler
-    rows, (c) the flat and legacy engines bit-identical under a faulted,
-    degradation-on run, and (d) same seed ⇒ identical fault trace and
+    rows, (c) the faulted, degradation-on regional-outage run matching its
+    golden digest, and (d) same seed ⇒ identical fault trace and
     metrics.  The study itself is sub-second, so smoke and full runs share
     the exact same parameters — one record, no drifting smoke variant.
     """
+    from golden.serving_cases import golden_digests
+
     from repro.experiments.resilience import (
         STUDY_DURATION_S,
         STUDY_RATE_RPS,
@@ -569,21 +536,23 @@ def bench_resilience(smoke: bool) -> dict:
             or cell["graceful"]["p95_s"] < cell["baseline"]["p95_s"]
         )
 
-    # Gate (c): flat vs legacy bit-identity on a faulted, degradation-on
-    # run (the equivalence tests pin more configurations; this records the
-    # cross-check in the trajectory).
-    flat, legacy = (
-        run_resilience_study(scenarios=["regional-outage"], engine=engine)[1][2]
-        for engine in ("flat", "processes")
+    # Gate (c): the faulted, degradation-on regional-outage run matches
+    # its golden digest (frozen while the retired generator-process engine
+    # agreed with the flat one; the golden tests pin more configurations).
+    graceful_outage = next(
+        report for scenario, key, report in reports
+        if (scenario, key) == ("regional-outage", "graceful")
     )
-    result["engines_bit_identical"] = _report_digest(flat) == _report_digest(legacy)
+    result["golden_ok"] = (
+        graceful_outage.digest()
+        == golden_digests()["resilience/regional-outage-graceful"]
+    )
 
     # Gate (d): same seed, same study call ⇒ identical fault trace and
     # metrics (the whole pipeline is deterministic, not just seeded).
     rerun = run_resilience_study()
     result["deterministic"] = all(
-        _report_digest(a[2]) == _report_digest(b[2])
-        for a, b in zip(reports, rerun)
+        a[2].digest() == b[2].digest() for a, b in zip(reports, rerun)
     )
     result["wall_s"] = round(time.perf_counter() - start, 4)
     return result
@@ -812,20 +781,17 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "platform": platform.platform(),
-        "speedup_gate": (
-            SERVING_SPEEDUP_GATE_SMOKE if args.smoke else SERVING_SPEEDUP_GATE_FULL
-        ),
-        "engine_sweep": [],
+        "sweep": [],
     }
     for label, kind, rate_rps, duration_s in (
         SERVING_SMOKE_SWEEP if args.smoke else SERVING_FULL_SWEEP
     ):
-        print(f"serving engine sweep {label} (rate={rate_rps}) ...", flush=True)
-        serving_results["engine_sweep"].append(
-            bench_serving_engines(label, kind, rate_rps, duration_s)
+        print(f"serving sweep {label} (rate={rate_rps}) ...", flush=True)
+        serving_results["sweep"].append(
+            bench_serving_sweep(label, kind, rate_rps, duration_s)
         )
     replay_point = SERVING_REPLAY_SMOKE if args.smoke else SERVING_REPLAY_FULL
-    print(f"serving replay (flat, rate={replay_point[1]}, "
+    print(f"serving replay (rate={replay_point[1]}, "
           f"duration={replay_point[2]}) ...", flush=True)
     serving_results["replay"] = bench_serving_replay(*replay_point)
     args.serving_output.write_text(json.dumps(serving_results, indent=2) + "\n")
@@ -902,22 +868,14 @@ def main() -> int:
             "autoscale does not beat leftover replication on goodput or p95 "
             "at the benchmarked high-rate point"
         )
-    speedup_gate = serving_results["speedup_gate"]
-    for row in serving_results["engine_sweep"]:
-        if not row["flat_matches_legacy"]:
+    for row in serving_results["sweep"]:
+        if not row["golden_ok"]:
             failures.append(
-                f"serving engine report mismatch at {row['label']} "
-                f"(rate={row['rate_rps']})"
+                f"serving report does not match its golden digest at "
+                f"{row['label']} (rate={row['rate_rps']})"
             )
         if not row["conservation_ok"]:
-            failures.append(
-                f"serving engine conservation violated at {row['label']}"
-            )
-        if row["label"] == "overload" and row["speedup"] < speedup_gate:
-            failures.append(
-                f"flat engine speedup {row['speedup']}x below the "
-                f"{speedup_gate}x gate at the overload point"
-            )
+            failures.append(f"serving conservation violated at {row['label']}")
     if not serving_results["replay"]["conservation_ok"]:
         failures.append("serving replay conservation violated")
     validation_gates = validation_results["gates"]
@@ -949,10 +907,10 @@ def main() -> int:
                 f"resilience: graceful degradation does not beat the "
                 f"degradation-off baseline on goodput or p95 ({scenario})"
             )
-    if not resilience_results["engines_bit_identical"]:
+    if not resilience_results["golden_ok"]:
         failures.append(
-            "resilience: flat and legacy engines disagree under a faulted, "
-            "degradation-on run"
+            "resilience: the graceful regional-outage run does not match its "
+            "golden digest"
         )
     if not resilience_results["deterministic"]:
         failures.append(

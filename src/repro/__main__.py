@@ -24,6 +24,7 @@ And the multi-cluster WAN federation (see docs/federation.md):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict
 
@@ -157,6 +158,29 @@ def lint_main(argv=None) -> int:
     return run_lint_cli(argv)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def non_negative(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 #: Default model mix for `serve`: three tasks sharing the ViT-B/16 tower.
 DEFAULT_SERVE_MODELS = "clip-vit-b16,encoder-vqa-small,image-classification-vitb16"
 
@@ -174,18 +198,6 @@ def serve_main(argv=None) -> int:
         generate_churn,
         scenario_names,
     )
-
-    def positive(text: str) -> float:
-        value = float(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return value
-
-    def non_negative(text: str) -> float:
-        value = float(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-        return value
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -243,10 +255,6 @@ def serve_main(argv=None) -> int:
                         help="plan the deployment with the queue-aware exact solver: "
                         "arrival rates measured from the trace price per-device "
                         "expected waits into the placement objective (docs/placement.md)")
-    parser.add_argument("--engine", choices=("flat", "processes"), default="flat",
-                        help="serving core: 'flat' is the vectorized event-loop engine, "
-                        "'processes' the legacy one-generator-per-request engine; both "
-                        "produce bit-identical reports (default: flat)")
     args = parser.parse_args(argv)
 
     from repro.core.catalog import MODEL_CATALOG
@@ -286,7 +294,6 @@ def serve_main(argv=None) -> int:
         autoscale=args.autoscale,
         autoscale_interval_s=args.autoscale_interval,
         max_replicas=args.max_replicas,
-        engine=args.engine,
         congestion_aware=args.congestion_aware,
         retry=RetryPolicy(
             timeout_s=args.timeout,
@@ -323,12 +330,6 @@ def federation_main(argv=None) -> int:
         study_runtime,
     )
 
-    def positive(text: str) -> float:
-        value = float(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return value
-
     parser = argparse.ArgumentParser(
         prog="python -m repro federation",
         description="Federate timezone-offset edge clusters over priced WAN "
@@ -353,17 +354,13 @@ def federation_main(argv=None) -> int:
     parser.add_argument("--parallel", action="store_true",
                         help="simulate clusters in separate worker processes; "
                         "the report is bit-identical to the sequential oracle")
-    parser.add_argument("--engine", choices=("flat", "processes"), default="flat",
-                        help="per-cluster serving core (default: flat)")
     args = parser.parse_args(argv)
 
     if args.study:
         print(render_federation(args.duration, args.seed, parallel=args.parallel))
         return 0
     scenario = "regional-outage" if args.outage else "offset-diurnal"
-    runtime = study_runtime(
-        spillover=not args.no_spillover, duration_s=args.duration, engine=args.engine
-    )
+    runtime = study_runtime(spillover=not args.no_spillover, duration_s=args.duration)
     report = runtime.run(
         args.seed,
         fault_plans=study_fault_plans(scenario, args.duration),

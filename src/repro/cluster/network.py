@@ -102,10 +102,6 @@ class Network:
         """Return one link to nominal bandwidth (undo :meth:`degrade_link`)."""
         self.degrade_link(a, b, 1.0)
 
-    def link_factor(self, a: str, b: str) -> float:
-        """Current bandwidth multiplier for a link (1.0 when nominal)."""
-        return self._degraded.get(self._link_key(a, b), 1.0)
-
     def _routing_graph(self):
         """The graph with cut links removed (views are cheap; only built
         when a cut is actually active)."""
@@ -182,7 +178,3 @@ class Network:
         if self._jitter is not None:
             seconds *= self._jitter(src, dst)
         return seconds
-
-    def device_nodes(self) -> List[str]:
-        """All non-router nodes."""
-        return [node for node in self.graph.nodes if not node.endswith(("-router", "-gateway"))]

@@ -7,7 +7,7 @@ The batch experiments evaluate one-shot request sets; this package serves
   bursty (MMPP), and diurnal arrival processes over the model catalog.
 - :class:`SLOPolicy` — per-request deadlines and admission control.
 - :class:`FaultPlan` / :func:`fault_scenario` — typed, seeded fault
-  injection: device crash/recover (subsuming the legacy
+  injection: device crash/recover (subsuming the fail/recover
   :func:`generate_churn` schedules), straggler slowdowns, link
   degradation/cuts, and correlated regional outages.
 - :class:`RetryPolicy` / :class:`BrownoutPolicy` — graceful degradation:
@@ -18,11 +18,9 @@ The batch experiments evaluate one-shot request sets; this package serves
 - :class:`ServingRuntime` — drives the serving run with the queue-aware
   router, per-(module, device) micro-batching, SLO admission, and adaptive
   re-placement under faults; returns a :class:`ServingReport` with
-  p50/p95/p99 latency, goodput, and SLO attainment.  Two interchangeable
-  cores: the vectorized :class:`FlatServingEngine` event loop (default,
-  ``engine="flat"``) and the legacy generator-process engine
-  (``engine="processes"``) — bit-identical reports either way, faulted
-  or not.
+  p50/p95/p99 latency, goodput, and SLO attainment.  Each run replays the
+  trace on the vectorized :class:`FlatServingEngine` event loop; golden
+  report digests (``tests/golden/``) pin its event order.
 
 Quickstart::
 
@@ -66,7 +64,7 @@ from repro.serving.report import (
     ScalingRecord,
     ServingReport,
 )
-from repro.serving.runtime import ServingRuntime, StreamingQueueAwareRouter
+from repro.serving.runtime import ServingRuntime
 from repro.serving.scenarios import fault_scenario, scenario_names
 from repro.serving.slo import RetryPolicy, SLOPolicy
 from repro.serving.workload import WORKLOAD_KINDS, Arrival, ArrivalTrace, WorkloadGenerator
@@ -92,7 +90,6 @@ __all__ = [
     "SLOPolicy",
     "ServingReport",
     "ServingRuntime",
-    "StreamingQueueAwareRouter",
     "WORKLOAD_KINDS",
     "WorkloadGenerator",
     "compile_faults",

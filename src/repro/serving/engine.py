@@ -1,34 +1,36 @@
-"""The flat (vectorized) serving engine: one event loop, no generator frames.
+"""The serving engine: one flat event loop, no generator frames.
 
-:class:`FlatServingEngine` replays an arrival trace through the exact same
-serving semantics as the legacy process engine in
-:mod:`repro.serving.runtime` — admission, streaming queue-aware routing,
-micro-batching, churn re-placement, replica autoscaling, and the energy
-ledger — but keeps all live-request state in preallocated numpy columns
-(SLO/finish/retry/pending/assigned-host arrays indexed by arrival number)
-and advances a single :class:`~repro.sim.flat.FlatEventLoop` of plain
-``(time, seq, fn, args)`` continuations.  The legacy engine spends a Python
-generator frame plus several Event objects per request per hop; here a hop
-is one function call, which is what lets one run replay millions of
-arrivals.
+:class:`FlatServingEngine` replays an arrival trace through the serving
+semantics of :mod:`repro.serving.runtime` — admission, streaming
+queue-aware routing, micro-batching, churn re-placement, replica
+autoscaling, and the energy ledger.  All live-request state sits in
+preallocated numpy columns (SLO/finish/retry/pending/assigned-host arrays
+indexed by arrival number), and a single
+:class:`~repro.sim.flat.FlatEventLoop` advances plain
+``(time, seq, fn, args)`` continuations.  A hop is one function call, not
+a generator frame plus several Event objects per request, which is what
+lets one run replay millions of arrivals.
 
-**Bit-identity contract.**  Same runtime config + same trace + same fault
-schedule ⇒ a :class:`~repro.serving.report.ServingReport` identical to the
-legacy engine's, record for record.  This holds because the flat engine is
-an *event-order-faithful* translation, not a re-modeling:
+**Event-order contract.**  Same runtime config + same trace + same fault
+schedule ⇒ the same :class:`~repro.serving.report.ServingReport`, record
+for record.  The golden digests in ``tests/golden/serving_digests.json``
+pin that report, and through it the event order, on a grid of workloads,
+faults and control-plane settings.  They were frozen while an independent
+generator-process engine (one process per request per hop) still agreed
+with this one on every case.  The order rests on three rules:
 
-- every continuation pushed here corresponds 1:1 (or as a contiguous
-  fusion) to an event the legacy kernel would push at the same simulated
-  time and in the same relative insertion order, so the ``(time, seq)``
-  heap pops in the same order and every float is computed from identical
-  operand state;
-- process bootstraps are mirrored by *gate entries* pushed at setup in the
-  same order legacy starts its processes, so same-time interleavings match
-  even when an arrival coincides with a churn tick to the last ulp;
-- the only skipped events are provable no-ops (process-completion events
-  nothing waits on), and the only fusion is a batch's per-job completion
-  broadcast — ``k`` contiguous pushes collapsed into one entry whose
-  handler runs the ``k`` continuations inline in the same order.
+- every continuation is pushed at a fixed simulated time in a fixed
+  insertion order, so the ``(time, seq)`` heap pops in the same order and
+  every float is computed from identical operand state;
+- setup pushes *gate entries* in a fixed order (arrivals in trace order,
+  then the fault walker, the brownout tick and the autoscale tick), so
+  same-time interleavings match even when an arrival coincides with a
+  fault to the last ulp;
+- a batch's per-job completion broadcast is one fused entry whose handler
+  runs the ``k`` continuations inline, in order.
+
+Changing when, or in which order, a continuation is pushed changes the
+digests; regenerate them only on purpose (``docs/serving.md``).
 
 Caches (service seconds, transfer seconds, batch services, isolated
 estimates keyed by a placement/live-set generation counter) memoize pure
@@ -45,7 +47,6 @@ import numpy as np
 
 from repro.cluster.requests import InferenceRequest, _request_counter
 from repro.cluster.topology import build_testbed
-from repro.core.engine import S2M3Engine
 from repro.core.placement.adaptive import AdaptivePlacementController
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.problem import Placement, PlacementProblem
@@ -100,11 +101,13 @@ class _ModelInfo:
 
 #: Job layout: [is_head, arrival_index, encoder_path, est_service,
 #: model_info_index, cancelled, notified, queue_key].  A plain list — a
-#: million queued jobs stay cheap, and the three mutable tail slots mirror
-#: the legacy ``_Job`` watchdog flags (``cancelled`` marks an attempt
-#: abandoned by its retry watchdog; ``notified`` guards the one-shot
-#: completion against double firing; ``key`` is the micro-batch queue the
-#: job sits in once enqueued, None before).
+#: million queued jobs stay cheap.  Jobs are identity-compared: the
+#: watchdog's dequeue removes *this* attempt, never a value-equal sibling.
+#: The three mutable tail slots are the retry watchdog's flags
+#: (``cancelled`` marks an attempt abandoned by its retry watchdog;
+#: ``notified`` guards the one-shot completion against double firing;
+#: ``key`` is the micro-batch queue the job sits in once enqueued, None
+#: before).
 _IS_HEAD, _IDX, _PATH, _EST, _MODEL, _CANCELLED, _NOTIFIED, _KEY = range(8)
 
 
@@ -154,7 +157,7 @@ class FlatServingEngine:
         self._module_specs = self._engine.module_specs
         self._sorted_modules = sorted(self._module_specs)
 
-        # Mirrors of the legacy runtime's mutable serving state.
+        # Mutable serving state.
         self._slot_cap = {
             name: self._devices[name].slots.capacity for name in self._device_names
         }
@@ -244,14 +247,12 @@ class FlatServingEngine:
         if rt.brownout is not None:
             self._brownout_rank = self._brownout_ranking()
 
-        # Entry order mirrors the legacy process bootstraps — arrivals in
-        # trace order, then the fault walker, then the brownout tick, then
-        # the autoscale tick — so same-time continuations keep the legacy
-        # counter interleaving to the last ulp.  Arrivals are scheduled
-        # directly at their times (insertion order alone fixes the relative
-        # sequence; the t=0 trampoline pop the legacy engine pays per
-        # request is skipped).  The fault stream arrives pre-sorted from
-        # compile_faults, exactly as the legacy engine receives it.
+        # Gate-entry order — arrivals in trace order, then the fault walker,
+        # then the brownout tick, then the autoscale tick — fixes how
+        # same-time continuations interleave; the golden digests pin it.
+        # Arrivals are scheduled directly at their times (insertion order
+        # alone fixes the relative sequence).  The fault stream arrives
+        # time-sorted from compile_faults.
         loop = self._loop
         push_at = loop.push_at
         on_arrival = self._on_arrival
@@ -369,8 +370,8 @@ class FlatServingEngine:
     # ==================================================================
     def _enc_route(self, idx: int, path: int) -> None:
         if self._timed_out[idx]:
-            # A sibling path exhausted the shared retry budget; mirror the
-            # legacy generator's loop-top return (one completion event).
+            # A sibling path exhausted the shared retry budget: this path
+            # ends too (one completion event).
             self._loop.push(0.0, self._enc_path_ended, idx)
             return
         info = self._infos[self._info_of[idx]]
@@ -453,7 +454,7 @@ class FlatServingEngine:
 
     def _encs_joined(self, idx: int) -> None:
         if self._timed_out[idx]:
-            # Terminal: the legacy request process unwinds here.
+            # Terminal: the request ends without a finish time.
             self._unresolved -= 1
             return
         self._head_route(idx)
@@ -463,8 +464,8 @@ class FlatServingEngine:
     # ==================================================================
     def _head_route(self, idx: int) -> None:
         if self._timed_out[idx]:
-            # Terminal: mirror the legacy _head_op loop-top return (the
-            # request process unwinds without a finish time).
+            # Terminal: the retry budget ran out while the head attempt
+            # waited; the request ends without a finish time.
             self._unresolved -= 1
             return
         info = self._infos[self._info_of[idx]]
@@ -485,8 +486,7 @@ class FlatServingEngine:
     def _head_transfers(self, job: list, host: str, start_path: int) -> None:
         """Ship cached embeddings to the head's host, one hop at a time.
 
-        Sequential like the legacy loop: a hop with positive transfer time
-        suspends here and resumes at ``start_path + 1`` when it lands.  A
+        Sequential: a hop with positive transfer time suspends here and resumes at ``start_path + 1`` when it lands.  A
         watchdog cancellation or a partition between an encoder's host and
         the head abandons the attempt (reservation released, retry spent).
         """
@@ -566,7 +566,9 @@ class FlatServingEngine:
             self._loop.push(0.0, self._server_drain, module_name, host)
 
     def _server_drain(self, module_name: str, host: str) -> None:
-        """The legacy server loop, flattened; returning means "suspended"."""
+        """Drain one (module, host) queue in FIFO micro-batches; returning
+        means "suspended" (a batch window, slot grant or service is
+        pending)."""
         rt = self.rt
         key = (module_name, host)
         queue = self._queues[key]
@@ -662,9 +664,8 @@ class FlatServingEngine:
         """Schedule the per-job completion broadcast for a chunk.
 
         Jobs already resumed by their retry watchdog are skipped; the rest
-        are marked ``notified`` *now* — mirroring the legacy engine, where
-        the one-shot done events fire synchronously here — so a watchdog
-        popping before the broadcast entry sees them as settled.
+        are marked ``notified`` *now*, so a watchdog popping before the
+        broadcast entry sees them as settled.
         """
         jobs = [job for job in chunk if not job[_NOTIFIED]]
         if not jobs:
@@ -734,14 +735,14 @@ class FlatServingEngine:
         self._loop.push(0.0, self._timeout_resume, job)
 
     def _timeout_resume(self, job: list) -> None:
-        """The owner's resume after a watchdog fired (done event mirror)."""
+        """The owner's resume after its watchdog fired."""
         if job[_IS_HEAD]:
             self._head_failed(job)
         else:
             self._enc_failed(job)
 
     # ==================================================================
-    # Streaming queue-aware routing (exact router-math mirror)
+    # Streaming queue-aware routing
     # ==================================================================
     def _live_pairs(self, info: _ModelInfo, module_name: str) -> List[Tuple[float, str]]:
         """(service_seconds, device) for the module's live hosts, in
@@ -763,8 +764,9 @@ class FlatServingEngine:
         self, info: _ModelInfo, module_name: str
     ) -> Optional[Tuple[str, float, float]]:
         """First-min scan of (service + wait, name); returns
-        (host, service, wait) or None when no live host exists.  The wait
-        arithmetic keeps the streaming router's exact float op order."""
+        (host, service, wait) or None when no live host exists.  Ties break
+        toward the smaller device name.  The wait arithmetic's float op
+        order is pinned by the golden digests."""
         pairs = self._live_pairs(info, module_name)
         if not pairs:
             return None
@@ -777,8 +779,8 @@ class FlatServingEngine:
         best_total = best_name = best_service = best_wait = None
         for service, device_name in pairs:
             # The cached pairs are nominal; straggler factors are applied
-            # here so routing prices the degraded speed (legacy router op
-            # order: compute_seconds, then `service * slow`).
+            # here so routing prices the degraded speed and slowed replicas
+            # shed load (op order: compute_seconds, then `service * slow`).
             service = service * slow[device_name]
             capacity = slot_cap[device_name]
             outstanding = slot_used[device_name] + len(slot_waiters[device_name])
@@ -822,8 +824,10 @@ class FlatServingEngine:
         self._state_version += 1
 
     def _release(self, device_name: str, service_seconds: float) -> None:
-        # Sub-nanosecond residues snap to 0.0 exactly like the streaming
-        # router's release (scale-down eligibility compares against zero).
+        # The ledger is a float sum of reserve/release pairs, so IEEE-754
+        # subtraction can leave ~1e-17 remainders that would read as "work
+        # still in flight" forever; sub-nanosecond residues snap to 0.0
+        # (scale-down eligibility compares against zero).
         outstanding = self._reserved[device_name] - service_seconds
         if outstanding < 1e-9:
             outstanding = 0.0
@@ -834,9 +838,9 @@ class FlatServingEngine:
         cached = self._pressure_cache.get(info.index)
         if cached is not None and cached[0] == self._state_version:
             return cached[1]
-        # Routing mutates nothing here (reserve=False in the legacy path),
-        # so the per-module waits captured during the scan equal the waits
-        # the legacy code recomputes after choosing all hosts.
+        # A what-if routing: nothing is reserved (admission must not
+        # poison the wait estimates of requests it rejects), so the wait
+        # captured in each module's scan is the chosen host's wait.
         waits: Dict[str, float] = {}
         pressure = float("inf")
         for module_name in info.module_names:
@@ -973,10 +977,12 @@ class FlatServingEngine:
     def _apply_fault(self, event: FaultEvent) -> Tuple[bool, str, bool]:
         """Apply one fault; returns ``(applied, detail, reconfigure)``.
 
-        The exact mirror of the legacy runtime's ``_apply_fault``, plus the
-        flat engine's cache invalidations: straggler factors bump the
-        routing-state version (scores change), link faults clear the
-        transfer-price cache (bandwidths changed).
+        Events that change the *live pool* (crashes, recoveries,
+        partitions opening or healing) ask for a re-placement; straggler and
+        bandwidth-only link faults reprice without one.  Cache
+        invalidations ride along: straggler factors bump the routing-state
+        version (scores change), link faults clear the transfer-price cache
+        (bandwidths changed).
         """
         if event.kind == FAIL:
             applied, detail = self._apply_failure(event.device)
@@ -1006,10 +1012,9 @@ class FlatServingEngine:
             self._network.restore_link(a, b)
             detail = ""
         self._transfer_cache.clear()
-        # Isolated estimates price transfer legs at current bandwidths
-        # (the legacy engine recomputes them per arrival), so a repriced
-        # link invalidates them even when the placement generation and
-        # reachability are unchanged.
+        # Isolated estimates price transfer legs at current bandwidths, so
+        # a repriced link invalidates them even when the placement
+        # generation and reachability are unchanged.
         self._isolated_cache.clear()
         changed, change_detail = self._refresh_reachability()
         if change_detail:
@@ -1135,6 +1140,10 @@ class FlatServingEngine:
         return self._problem_for([n for n in self._device_names if n in self._live])
 
     def _feasible(self, live_names: Sequence[str]) -> bool:
+        # The feasibility probe and the controller's candidate each run one
+        # greedy solve per applied event; the problems are small (a handful
+        # of modules x devices), so the duplication is cheaper than
+        # widening the controller's API to accept a precomputed candidate.
         if not live_names:
             return False
         try:
@@ -1158,8 +1167,14 @@ class FlatServingEngine:
     # Brownout controller (graceful load shedding)
     # ==================================================================
     def _brownout_ranking(self) -> List[str]:
-        """Model classes ordered by SLO slack, smallest first (the exact
-        mirror of the legacy ranking: same prototypes, same floats)."""
+        """Model classes ordered by SLO slack, smallest first.
+
+        Slack = deadline minus isolated latency on the fresh deployment —
+        the classes already closest to their deadlines are shed first
+        (they are the least likely to produce goodput under pressure).
+        Scoring uses the ``request_id=-1`` prototypes, so ranking never
+        bumps the process-global request counter.
+        """
         slacks = []
         for spec in self._engine.problem.models:
             info = self._info_for(spec.name)
@@ -1222,6 +1237,13 @@ class FlatServingEngine:
             self._loop.push(self.rt.autoscale_interval_s, self._autoscale_tick)
 
     def _autoscale_tick(self) -> None:
+        """One control round: an add/drop assessment per module.
+
+        Runs only while requests are outstanding, so an idle tail never
+        keeps the loop alive; modules are visited in sorted-name order.
+        A scale-up's load wait runs as its own continuation, so a slow
+        load never stalls the next round's assessment of other modules.
+        """
         rt = self.rt
         if self._unresolved <= 0:
             return
@@ -1242,6 +1264,11 @@ class FlatServingEngine:
             self._loop.push(rt.autoscale_interval_s, self._autoscale_tick)
 
     def _module_pressure(self, module_name: str) -> Tuple[float, float]:
+        """Queued-but-unstarted work for one module: ``(pressure,
+        queued_seconds)``, the summed est_service over its live queues
+        (service-**seconds**) raw and per slot of its live hosts.  Modules
+        with no live host report ``(0, 0)`` (churn re-placement, not the
+        autoscaler, owns that situation)."""
         hosts = [h for h in self._placement.hosts(module_name) if h in self._live]
         if not hosts:
             return 0.0, 0.0
@@ -1253,6 +1280,16 @@ class FlatServingEngine:
         return queued / capacity, queued
 
     def _scale_up(self, module_name: str, pressure: float, queued_seconds: float) -> None:
+        """Decide an add for an overloaded module, charging its load time.
+
+        The candidate is the live device (not already hosting the module,
+        with the weights fitting in free memory, within the speed-ratio
+        guard) with the smallest planning compute time, name tie-break.
+        The replica joins the routable set ``cost_s`` later and the
+        decision is re-validated then (the device may have failed or
+        filled up; an aborted add is logged, never applied).  At most one
+        add per module is in flight.
+        """
         rt = self.rt
         if module_name in self._pending_adds:
             return
@@ -1285,6 +1322,9 @@ class FlatServingEngine:
             ),
         )
         cost = problem.compute_model.load_seconds(module, self._devices[chosen].profile)
+        # Amortization gate (the adaptive controller's hysteresis, scaled to
+        # the backlog): loading must cost less than the queued work it can
+        # relieve, otherwise the burst is over before the replica exists.
         if cost > queued_seconds:
             return
         self._pending_adds.add(module_name)
@@ -1309,6 +1349,8 @@ class FlatServingEngine:
             chosen not in self._live
             or not device.can_load(module)
             or chosen in self._placement.hosts(module_name)
+            # A churn re-placement during the window may have re-grown the
+            # host set (replicate=True deployments): re-check the cap too.
             or len(self._placement.hosts(module_name)) >= self.rt.max_replicas
         ):
             self._scaling_log.append(
@@ -1327,6 +1369,15 @@ class FlatServingEngine:
         self._pending_adds.discard(module_name)
 
     def _scale_down(self, module_name: str) -> None:
+        """Drop one surplus idle replica (free: unloading is instant).
+
+        Eligible hosts have an empty micro-batch queue for the module and
+        no routed work still crossing the uplink toward them (the exact
+        in-flight reservation ledger), and at least one **live** host always
+        remains, so no queued work is lost and routing never goes dark.
+        Among eligible hosts the slowest (largest planning compute time,
+        name tie-break) is dropped, keeping the fast replicas serving.
+        """
         rt = self.rt
         hosts = self._placement.hosts(module_name)
         live_hosts = [h for h in hosts if h in self._live]
@@ -1367,6 +1418,12 @@ class FlatServingEngine:
     # Energy accounting
     # ==================================================================
     def _charge_radio(self, src: str, dst: str, payload_bytes: int) -> None:
+        """Charge per-byte radio joules to both transfer endpoints.
+
+        Co-located hops are free — the same rule as the placement-time
+        energy model and ``Network.transfer_seconds``.  Retried transfers
+        charge again: the radios really did move the bytes twice.
+        """
         if not self._track_energy or src == dst:
             return
         self._radio_joules[src] = self._radio_joules.get(src, 0.0) + (
@@ -1377,6 +1434,13 @@ class FlatServingEngine:
         )
 
     def _energy_report(self) -> EnergyReport:
+        """Per-device energy over the run's wall-clock horizon.
+
+        Active time is the union of the device's batch service intervals
+        (overlapping batches on a multi-slot device count once); every
+        other second draws ``idle_watts``, so active + idle seconds equal
+        the horizon per device.
+        """
         horizon = self._loop.now
         devices = []
         for name in self._device_names:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import astuple, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -238,13 +238,6 @@ class ServingReport:
         return self.slo_met / self.arrivals
 
     @property
-    def completion_rate(self) -> float:
-        """Fraction of arrivals that were admitted and completed."""
-        if self.arrivals == 0:
-            return 1.0
-        return self.completed / self.arrivals
-
-    @property
     def joules_per_request(self) -> float:
         """Total cluster joules per completed request (0 when untracked or
         nothing completed)."""
@@ -431,10 +424,10 @@ def build_report_arrays(
 ) -> ServingReport:
     """Assemble the report from per-request columns, enforcing conservation.
 
-    The vectorized aggregation core shared by both serving engines:
-    ``finish_times`` uses NaN for "never completed", ``rejected`` is the
-    boolean rejection mask, ``timed_out`` is the retry-budget-exhausted
-    mask (``None`` means no retry policy: all False), and every aggregate
+    The serving engine's vectorized aggregation core: ``finish_times``
+    uses NaN for "never completed", ``rejected`` is the boolean rejection
+    mask, ``timed_out`` is the retry-budget-exhausted mask (``None`` means
+    no retry policy: all False), and every aggregate
     (counts, SLO attainment, latency percentiles, makespan) is computed
     with numpy array ops instead of per-record Python loops.  ``records``
     only rides along into the report (empty when the caller dropped them
@@ -471,54 +464,4 @@ def build_report_arrays(
         brownout=tuple(brownout or ()),
         records=records,
         energy=energy,
-    )
-
-
-def build_report(
-    workload_kind: str,
-    duration_s: float,
-    seed: int,
-    records: List[RequestRecord],
-    migrations: List[MigrationRecord],
-    churn: List[ChurnRecord],
-    energy: Optional[EnergyReport] = None,
-    scaling: Optional[List[ScalingRecord]] = None,
-    brownout: Optional[List[BrownoutRecord]] = None,
-    keep_records: bool = True,
-) -> ServingReport:
-    """Assemble the aggregate report from :class:`RequestRecord` objects.
-
-    Extracts the per-request columns once and delegates to
-    :func:`build_report_arrays`, so record-based (legacy engine) and
-    column-based (flat engine) runs aggregate through the same numpy code.
-    ``keep_records=False`` drops the per-request records from the report
-    (the aggregates are already computed) for memory-bound large runs.
-    """
-    n = len(records)
-    return build_report_arrays(
-        workload_kind,
-        duration_s,
-        seed,
-        request_ids=np.fromiter((r.request_id for r in records), dtype=np.int64, count=n),
-        arrival_times=np.fromiter(
-            (r.arrival_time for r in records), dtype=np.float64, count=n
-        ),
-        slo_s=np.fromiter((r.slo_s for r in records), dtype=np.float64, count=n),
-        admitted=np.fromiter((r.admitted for r in records), dtype=bool, count=n),
-        finish_times=np.fromiter(
-            (np.nan if r.finish_time is None else r.finish_time for r in records),
-            dtype=np.float64,
-            count=n,
-        ),
-        retries=np.fromiter((r.retries for r in records), dtype=np.int64, count=n),
-        rejected=np.fromiter(
-            (r.rejected_reason is not None for r in records), dtype=bool, count=n
-        ),
-        migrations=migrations,
-        churn=churn,
-        energy=energy,
-        scaling=scaling,
-        brownout=brownout,
-        timed_out=np.fromiter((r.timed_out for r in records), dtype=bool, count=n),
-        records=tuple(records) if keep_records else (),
     )

