@@ -283,7 +283,7 @@ class ServingReport:
         golden digests under ``tests/golden/`` pin the serving engine's
         event order through this hash.
         """
-        base = min((r.request_id for r in self.records if r.request_id >= 0), default=0)
+        base = int(min((r.request_id for r in self.records if r.request_id >= 0), default=0))
         records = [
             (
                 int(r.request_id) - base if r.request_id >= 0 else int(r.request_id),

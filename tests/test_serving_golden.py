@@ -20,13 +20,7 @@ import pytest
 
 from repro.serving import BrownoutRecord, ChurnRecord, MigrationRecord, ScalingRecord
 
-from golden.serving_cases import (
-    all_cases,
-    equivalence_config,
-    equivalence_names,
-    golden_digests,
-    serve,
-)
+from golden.serving_cases import EQUIVALENCE_CONFIGS, all_cases, golden_digests, serve
 
 GOLDEN = golden_digests()
 
@@ -38,16 +32,16 @@ def _assert_conserved(report):
 
 
 class TestGoldenDigests:
-    @pytest.mark.parametrize("name", equivalence_names())
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
     def test_flat_matches_golden(self, name):
-        report = serve(**equivalence_config(name))
+        report = serve(**EQUIVALENCE_CONFIGS[name])
         _assert_conserved(report)
         assert report.digest() == GOLDEN[f"equivalence/{name}"]
 
     def test_scaling_adds_and_drops(self):
         """The scale-up-down case exercises scale-up (with load cost),
         scale-down, and churn-driven migration in the same run."""
-        report = serve(**equivalence_config("scale-up-down"))
+        report = serve(**EQUIVALENCE_CONFIGS["scale-up-down"])
         assert any(s.action == "add" and s.applied for s in report.scaling)
         assert any(s.action == "drop" and s.applied for s in report.scaling)
 
@@ -57,7 +51,7 @@ class TestGoldenDigests:
     def test_digest_sees_every_logged_field(self):
         """A digest that ignores a field cannot pin it: changing any one
         record field, or adding an entry to any log, changes the hash."""
-        report = serve(**equivalence_config("bursty-stragglers-churn-brownout"))
+        report = serve(**EQUIVALENCE_CONFIGS["bursty-stragglers-churn-brownout"])
         digest = report.digest()
         record = report.records[0]
         for field, value in (
@@ -83,7 +77,7 @@ class TestGoldenDigests:
         assert dataclasses.replace(report, energy=None).digest() != digest
 
     def test_digest_ignores_the_request_id_offset(self):
-        report = serve(**equivalence_config("poisson-plain"))
+        report = serve(**EQUIVALENCE_CONFIGS["poisson-plain"])
         shifted = tuple(
             dataclasses.replace(r, request_id=r.request_id + 1000) for r in report.records
         )
