@@ -56,7 +56,7 @@ ENERGY_SMOKE_SWEEP = [(3, 4), (6, 8)]
 #: (modules, devices, max_copies).  The replica search space is the subset
 #: lattice (~(N + N^2/2)^M), exponentially larger than single-copy N^M, so
 #: the exact envelope is deliberately smaller — see docs/placement.md.
-REPLICA_FULL_SWEEP = [(3, 4, 2), (4, 5, 2), (4, 5, 3), (4, 6, 2), (5, 8, 2)]
+REPLICA_FULL_SWEEP = [(3, 4, 2), (4, 5, 2), (4, 5, 3), (4, 6, 2), (5, 8, 2), (6, 8, 2)]
 REPLICA_SMOKE_SWEEP = [(3, 4, 2), (4, 5, 2)]
 #: (label, kind, rate_rps, duration_s).  Each full point replays ~100k
 #: arrivals; every row's report must match its golden digest in
