@@ -111,7 +111,7 @@ def test_flat_engine_overload_golden(benchmark, once, capsys):
     report, wall = once(benchmark, run)
     with capsys.disabled():
         print()
-        print(f"flat    : {wall:.3f}s ({report.arrivals / wall:,.0f} arrivals/s)")
-    assert report.arrivals > 7000
+        print(f"{report.arrivals} arrivals in {wall:.3f}s "
+              f"({report.arrivals / wall:,.0f} arrivals/s)")
     assert report.completed + report.rejected + report.timed_out == report.arrivals
     assert report.digest() == golden_digests()["bench/overload-8k"]

@@ -464,8 +464,8 @@ class FlatServingEngine:
     # ==================================================================
     def _head_route(self, idx: int) -> None:
         if self._timed_out[idx]:
-            # Terminal: the retry budget ran out while the head attempt
-            # waited; the request ends without a finish time.
+            # Terminal: the request's retry budget is spent; it ends
+            # without a finish time.
             self._unresolved -= 1
             return
         info = self._infos[self._info_of[idx]]
@@ -486,9 +486,10 @@ class FlatServingEngine:
     def _head_transfers(self, job: list, host: str, start_path: int) -> None:
         """Ship cached embeddings to the head's host, one hop at a time.
 
-        Sequential: a hop with positive transfer time suspends here and resumes at ``start_path + 1`` when it lands.  A
-        watchdog cancellation or a partition between an encoder's host and
-        the head abandons the attempt (reservation released, retry spent).
+        Sequential: a hop with positive transfer time suspends here and
+        resumes at ``start_path + 1`` when it lands.  A watchdog
+        cancellation or a partition between an encoder's host and the head
+        abandons the attempt (reservation released, retry spent).
         """
         info = self._infos[job[_MODEL]]
         idx = job[_IDX]

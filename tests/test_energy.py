@@ -33,7 +33,7 @@ from repro.utils.errors import PlacementError
 from repro.utils.seeding import rng_for
 
 from conftest import seeded_noisy_problem
-from golden.serving_cases import golden_digests
+from golden.serving_cases import ENERGY_SPAN, golden_digests, serve
 
 
 def noisy_problem(models, devices, seed, sigma=0.06):
@@ -419,14 +419,13 @@ class TestServingEnergyConservation:
         runtime = ServingRuntime(
             models, slo=SLOPolicy(admission=False), track_energy=track_energy,
         )
-        report = runtime.run(trace, churn_events=churn)
-        return runtime, report
+        return runtime.run(trace, churn_events=churn)
 
     def test_active_plus_idle_equals_wall_clock_integral(self):
         # The golden digest of this run froze an energy ledger whose active
         # seconds matched an independent union of the execution-trace
         # compute spans; a digest match keeps those exact floats.
-        _, report = self._run()
+        report = serve(**ENERGY_SPAN)
         assert report.digest() == golden_digests()["energy/span-integral"]
         assert report.energy is not None
         horizon = report.energy.horizon_s
@@ -441,7 +440,7 @@ class TestServingEnergyConservation:
             assert entry.total_j == entry.active_j + entry.idle_j + entry.radio_j
 
     def test_totals_and_per_request_metrics(self):
-        _, report = self._run()
+        report = self._run()
         e = report.energy
         assert e.total_j == pytest.approx(e.active_j + e.idle_j + e.radio_j)
         assert e.active_j > 0 and e.idle_j > 0 and e.radio_j > 0
@@ -453,13 +452,13 @@ class TestServingEnergyConservation:
         assert "energy:" not in report.render()
 
     def test_energy_tracking_is_deterministic(self):
-        _, first = self._run()
-        _, second = self._run()
+        first = self._run()
+        second = self._run()
         assert first.energy is not None and second.energy is not None
         assert first.energy == second.energy
 
     def test_untracked_run_has_no_energy(self):
-        _, report = self._run(track_energy=False)
+        report = self._run(track_energy=False)
         assert report.energy is None
         assert report.joules_per_request == 0.0
         assert report.joules_per_goodput == 0.0
@@ -468,7 +467,7 @@ class TestServingEnergyConservation:
     def test_conservation_under_churn(self):
         from repro.serving.churn import DeviceChurnEvent
 
-        runtime, report = self._run(
+        report = self._run(
             duration=16.0,
             churn=(
                 DeviceChurnEvent(4.0, "desktop", "fail"),

@@ -25,17 +25,12 @@ from golden.serving_cases import EQUIVALENCE_CONFIGS, all_cases, golden_digests,
 GOLDEN = golden_digests()
 
 
-def _assert_conserved(report):
-    # Widened conservation: every arrival terminates exactly once —
-    # completed, rejected, or timed out.
-    assert report.completed + report.rejected + report.timed_out == report.arrivals
-
-
 class TestGoldenDigests:
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
     def test_flat_matches_golden(self, name):
         report = serve(**EQUIVALENCE_CONFIGS[name])
-        _assert_conserved(report)
+        # Widened conservation: every arrival terminates exactly once.
+        assert report.completed + report.rejected + report.timed_out == report.arrivals
         assert report.digest() == GOLDEN[f"equivalence/{name}"]
 
     def test_scaling_adds_and_drops(self):
