@@ -741,6 +741,9 @@ def branch_and_bound_placement(
         return None
 
     best_assign = tie_dfs(0)
+    # The recursive closures reference themselves; dropping them frees the
+    # search on return instead of at the next cyclic garbage collection.
+    del value_dfs, tie_dfs
     if best_assign is None:  # pragma: no cover - phase 1 proved V is attained
         raise PlacementError("no memory-feasible placement exists for this instance")
     placement = Placement(

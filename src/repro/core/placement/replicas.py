@@ -255,7 +255,8 @@ class _ReplicaGroupBound:
     the same precomputed floats keep the bound monotone (IEEE-754), hence
     admissible.  The bound is *not* exact at completion (paths are bounded
     independently, routing is joint), so leaves are priced exactly with
-    :meth:`RequestGroup.best_hosts`.
+    :meth:`RequestGroup.best_hosts` (or, a whole last level at once, with
+    :meth:`RequestGroup.pinned_minima`).
     """
 
     def __init__(self, tensors: CostTensors, group: RequestGroup) -> None:
@@ -308,7 +309,7 @@ class _ReplicaGroupBound:
                 else self._enc_fit_idx[e]
             )
             A = group.in_comm[e][ne] + group.enc_comp[e][ne]
-            best_per_head = np.min(A[:, None] + group.out[e][np.ix_(ne, nh)], axis=0)
+            best_per_head = (A[:, None] + group.out[e][ne[:, None], nh]).min(axis=0)
             if stage is None:
                 stage = best_per_head
             elif self.parallel:
@@ -316,7 +317,7 @@ class _ReplicaGroupBound:
             else:
                 stage = stage + best_per_head
         totals = group.head_comp[nh] if stage is None else stage + group.head_comp[nh]
-        return float(np.min(totals))
+        return float(totals.min())
 
     def exact(self, sets: List[Optional[Tuple[int, ...]]]) -> float:
         """True class latency (seconds) once every member set is assigned."""
@@ -365,6 +366,16 @@ class _ReplicaSearch:
                 if fitting
                 else []
             )
+        #: The same candidates as ``(n_subsets, max_copies)`` index arrays,
+        #: short sets padded by repeating their first host (a repeat changes
+        #: neither a residual check nor a ``min`` over the set).
+        self.subset_hosts = [
+            np.array(
+                [subset + subset[:1] * (max_copies - len(subset)) for subset in subsets],
+                dtype=np.int64,
+            ).reshape(len(subsets), max_copies)
+            for subsets in self.subsets_of
+        ]
 
         self.groups: List[RequestGroup] = []
         self.bounds: List[_ReplicaGroupBound] = []
@@ -499,6 +510,42 @@ class _ReplicaSearch:
             extra = extra + group_extra[g]
         return float(total + extra * _WAIT_SLACK)
 
+    def last_level(self, m: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Exact objectives of every feasible host set of the last free
+        module ``m``, priced without descending.
+
+        Returns ``(rows, totals)``: ``rows`` indexes ``subsets_of[m]`` in
+        :meth:`feasible_subsets` order and ``totals[i]`` is
+        :meth:`total_bound` after ``descend(m, subsets_of[m][rows[i]])``,
+        bit for bit.  Every class not using ``m`` is complete, so its
+        ``group_lb`` is already exact; a class using ``m`` is worth
+        ``min(W[h] for h in S)`` from :meth:`RequestGroup.pinned_minima`;
+        the columns are added in request order from ``0.0``.  Returns
+        ``None`` (price per set instead) under congestion, whose waits
+        depend on the whole placement, and above the value-table cap.
+        """
+        if self.wait is not None:
+            return None
+        hosts = self.subset_hosts[m]
+        rows = np.flatnonzero(
+            (np.asarray(self.residual)[hosts] >= self.memory[m]).all(axis=1)
+        )
+        hosts = hosts[rows]
+        columns: Dict[int, np.ndarray] = {}
+        for g in self.groups_using[m]:
+            group = self.groups[g]
+            minima = group.pinned_minima(
+                self.tensors,
+                [None if idx == m else self.sets[idx] for idx in group.member_idx],
+            )
+            if minima is None:
+                return None
+            columns[g] = minima[hosts].min(axis=1)
+        totals = np.zeros(len(rows))
+        for g in self.group_of_request:
+            totals += columns[g] if g in columns else self.group_lb[g]
+        return rows, totals
+
     def _leaf_value(self) -> float:
         """Exact queue-aware objective for a fully-assigned host-set state.
 
@@ -598,6 +645,13 @@ def replica_branch_and_bound(
     def value_dfs(depth: int) -> None:
         nonlocal best_value
         m = value_order[depth]
+        if depth + 1 == search.n_modules:
+            leaves = search.last_level(m)
+            if leaves is not None:
+                _rows, totals = leaves
+                if len(totals):
+                    best_value = min(best_value, float(totals.min()))
+                return
         scored = []
         for subset in search.feasible_subsets(m):
             saved = search.descend(m, subset)
@@ -626,6 +680,17 @@ def replica_branch_and_bound(
 
     def tie_dfs(depth: int) -> Optional[Placement]:
         m = tie_order[depth]
+        if depth + 1 == search.n_modules:
+            leaves = search.last_level(m)
+            if leaves is not None:
+                rows, totals = leaves
+                hits = np.flatnonzero(totals == best_value)
+                if not len(hits):
+                    return None
+                search.sets[m] = search.subsets_of[m][rows[hits[0]]]
+                winner = search.placement()
+                search.sets[m] = None
+                return winner
         for subset in search.feasible_subsets(m):
             saved = search.descend(m, subset)
             if search.total_bound() > best_value:

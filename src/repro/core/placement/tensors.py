@@ -72,7 +72,7 @@ def _lpt_waits(device_idx: Sequence[int], computes: Sequence[float], slots_of: S
 
 
 #: Largest per-group value table (``n_devices ** len(member_idx)`` entries)
-#: :meth:`RequestGroup.best_hosts` builds; bigger groups enumerate.
+#: :class:`RequestGroup` builds; bigger groups enumerate.
 _VALUE_TABLE_CAP = 1 << 16
 
 
@@ -170,11 +170,9 @@ class RequestGroup:
         and running in member order.  Groups whose table would exceed
         ``_VALUE_TABLE_CAP`` entries enumerate instead.
         """
-        table = self._table
+        table = self._cached_table(tensors)
         if table is None:
-            if tensors.n_devices ** len(self._members) > _VALUE_TABLE_CAP:
-                return self.best_hosts_scalar(tensors, candidates, device_waits)
-            table = self._table = self._value_table(tensors).ravel()
+            return self.best_hosts_scalar(tensors, candidates, device_waits)
         n = tensors.n_devices
         offsets = [0]
         for allowed in candidates:
@@ -192,6 +190,42 @@ class RequestGroup:
             k, r = divmod(k, len(allowed))
             chosen.append(allowed[r])
         return best, tuple(reversed(chosen))
+
+    def pinned_minima(
+        self, tensors: "CostTensors", candidates: Sequence[Optional[Sequence[int]]]
+    ) -> Optional[np.ndarray]:
+        """Cheapest-replica value per device of the one free member.
+
+        ``candidates`` is :meth:`best_hosts`'s per-member list with exactly
+        one entry ``None``.  Entry ``h`` of the result is the minimum of the
+        value table over every combination of the other members' candidates
+        with the free member on device ``h``, so for any host set ``S`` of
+        the free member ``min(W[h] for h in S)`` equals
+        ``best_hosts(..., S at the free position)[0]`` bit for bit (float
+        ``min`` is exact).  Returns ``None`` when the table would exceed
+        ``_VALUE_TABLE_CAP`` entries.
+        """
+        table = self._cached_table(tensors)
+        if table is None:
+            return None
+        n = tensors.n_devices
+        # Flat offsets of the other members' combinations with the free
+        # member on device 0, then one row per device of the free member.
+        base = [0]
+        for allowed in candidates:
+            base = [o * n + d for o in base for d in ((0,) if allowed is None else allowed)]
+        (free,) = [i for i, allowed in enumerate(candidates) if allowed is None]
+        stride = n ** (len(candidates) - 1 - free)
+        return table[np.arange(0, n * stride, stride)[:, None] + base].min(axis=1)
+
+    def _cached_table(self, tensors: "CostTensors") -> Optional[np.ndarray]:
+        """The flattened :meth:`_value_table`, built on first use, or
+        ``None`` above ``_VALUE_TABLE_CAP`` entries."""
+        if self._table is None:
+            if tensors.n_devices ** len(self._members) > _VALUE_TABLE_CAP:
+                return None
+            self._table = self._value_table(tensors).ravel()
+        return self._table
 
     def best_hosts_scalar(
         self,

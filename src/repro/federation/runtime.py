@@ -27,6 +27,7 @@ federation digests for the same seed.
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -170,6 +171,9 @@ class FederationRuntime:
         window_s: float = SPILLOVER_WINDOW_S,
         payload_mb: float = SPILLOVER_PAYLOAD_MB,
     ) -> None:
+        for name, value in (("duration_s", duration_s), ("diurnal_period_s", diurnal_period_s)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {duration_s}")
         if not models:

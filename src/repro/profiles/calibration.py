@@ -1,8 +1,8 @@
 """Calibration anchors: paper-reported measurements the profiles are fit to.
 
-These are *data*, consumed by the calibration tests
-(``tests/test_profiles_calibration.py``) which assert that the fitted
-profiles land within a stated tolerance of each anchor.  Exact equality is
+These are *data*, consumed by the calibration tests in
+``tests/test_profiles.py``, which assert that the fitted profiles land
+within a stated tolerance of each anchor.  Exact equality is
 not expected — the paper's numbers are wall-clock measurements on real
 hardware over an uncontrolled home network — but the *shape* (orderings and
 rough ratios) must hold, and these anchors pin it down.

@@ -126,6 +126,18 @@ class WorkloadGenerator:
             raise ValueError("need at least one model to generate a workload")
         if kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload kind {kind!r}; choose from {WORKLOAD_KINDS}")
+        # nan passes every ``<=`` check below and would never end a clock loop.
+        for name, value in (
+            ("rate_rps", rate_rps),
+            ("duration_s", duration_s),
+            ("burst_factor", burst_factor),
+            ("burst_dwell_s", burst_dwell_s),
+            ("base_dwell_s", base_dwell_s),
+            ("diurnal_period_s", diurnal_period_s),
+            ("phase_offset_s", phase_offset_s),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if rate_rps <= 0:
             raise ValueError(f"rate_rps must be positive, got {rate_rps}")
         if duration_s <= 0:
@@ -138,8 +150,6 @@ class WorkloadGenerator:
             raise ValueError("dwell times must be positive")
         if diurnal_period_s <= 0:
             raise ValueError(f"diurnal_period_s must be positive, got {diurnal_period_s}")
-        if not math.isfinite(phase_offset_s):
-            raise ValueError(f"phase_offset_s must be finite, got {phase_offset_s}")
         self.models = list(models)
         self.kind = kind
         self.rate_rps = float(rate_rps)

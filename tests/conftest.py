@@ -118,3 +118,17 @@ def edge_cluster():
 def full_cluster():
     """A fresh five-device cluster including the GPU server."""
     return build_testbed(testbed_device_names(), requester="jetson-a")
+
+
+def with_slots(instance, two_slot_every=3):
+    """``instance`` with every device on one executor slot except every
+    ``two_slot_every``-th, which gets two: a 1-slot majority, so encoders
+    that pile onto the fast devices queue and the contention terms bite."""
+    devices = tuple(
+        dataclasses.replace(d, parallel_slots=2 if i % two_slot_every == two_slot_every - 1 else 1)
+        for i, d in enumerate(instance.problem.devices)
+    )
+    problem = PlacementProblem(
+        modules=instance.problem.modules, devices=devices, models=instance.problem.models
+    )
+    return dataclasses.replace(instance, problem=problem)

@@ -619,6 +619,11 @@ class TestRuntimeAndCli:
             with pytest.raises(ValueError, match="payload_mb"):
                 FederationRuntime(federation_topology, payload_mb=payload_mb)
         assert FederationRuntime(federation_topology, payload_mb=0.0).payload_mb == 0.0
+        # nan passed the ``<= 0`` check and hung run() in trace generation.
+        for name in ("duration_s", "diurnal_period_s"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    FederationRuntime(federation_topology, **{name: value})
 
     def test_per_cluster_seeds_are_independent(self, federation_topology):
         """Cluster streams derive from the cluster name: distinct per

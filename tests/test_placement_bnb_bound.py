@@ -10,17 +10,19 @@ verbatim; the new bound may only be tighter) and the exhaustive minimum
 over every completion (which the bound may never exceed).
 """
 
-import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 
 from repro.core.placement.bnb import BnBStats, _Search, branch_and_bound_placement
 from repro.core.placement.optimal import optimal_placement
-from repro.core.placement.problem import PlacementProblem
 from repro.core.placement.tensors import CongestionModel, CostTensors
 from repro.experiments.scaling import synthetic_instance
 from repro.utils.seeding import rng_for
+
+from conftest import with_slots
 
 
 # The bound as it stood before join floors, kept verbatim as the oracle the
@@ -102,20 +104,6 @@ def _reference_bound_vector(self, assign: np.ndarray, module_index: int) -> np.n
     return np.broadcast_to(
         np.asarray(encoder + head, dtype=np.float64), self.head_comp.shape
     ).copy()
-
-
-def with_slots(instance, two_slot_every=3):
-    """``instance`` with every device on one executor slot except every
-    ``two_slot_every``-th, which gets two: a 1-slot majority, so encoders
-    that pile onto the fast devices queue and the contention terms bite."""
-    devices = tuple(
-        dataclasses.replace(d, parallel_slots=2 if i % two_slot_every == two_slot_every - 1 else 1)
-        for i, d in enumerate(instance.problem.devices)
-    )
-    problem = PlacementProblem(
-        modules=instance.problem.modules, devices=devices, models=instance.problem.models
-    )
-    return dataclasses.replace(instance, problem=problem)
 
 
 def branching_orders(search, tensors):
@@ -282,6 +270,26 @@ class TestSingleCopySearch:
         assert placement.as_dict() == PINNED_PLACEMENT
         # Without join floors this search visits 12,213 nodes.
         assert stats.nodes <= 200, stats
+
+    def test_search_frees_tensors_on_return(self):
+        # As for the replica search: the recursive closures must not keep
+        # the search (and the tensors) alive until the next cyclic garbage
+        # collection, or peak RSS climbs with the number of solves.
+        instance = synthetic_instance(4, 6, seed=1, n_requests=4)
+        tensors = CostTensors(instance.problem, instance.network)
+        ref = weakref.ref(tensors)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            branch_and_bound_placement(
+                instance.problem, list(instance.requests), instance.network,
+                tensors=tensors,
+            )
+            del tensors
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def _assert_bnb_matches_brute(self, instance, **kwargs):
         requests = list(instance.requests)

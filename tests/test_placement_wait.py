@@ -384,7 +384,7 @@ class TestReplicaEnvelope:
     The replica search now carries wait-state bookkeeping; with
     ``congestion=None`` that machinery must stay entirely out of the hot
     path, so the base solver's ~5 modules x 8 devices / 2 copies envelope
-    (about 1.3 s, docs/placement.md) is pinned here — placement, objective
+    (about 0.3 s, docs/placement.md) is pinned here — placement, objective
     and wall clock.
     """
 
@@ -405,7 +405,7 @@ class TestReplicaEnvelope:
             "enc-03": ("dev-00", "dev-01"),
             "synth-head": ("dev-00", "dev-06"),
         }
-        assert wall < 90.0, f"base 5x8/mc=2 took {wall:.1f}s (documented ~1.3s)"
+        assert wall < 90.0, f"base 5x8/mc=2 took {wall:.1f}s (documented ~0.3s)"
 
     def test_queue_aware_envelope_3x4_mc2(self):
         """Queue-aware exactness at a scale brute force can verify quickly."""

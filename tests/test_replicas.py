@@ -16,8 +16,10 @@ from repro.cluster.requests import InferenceRequest
 from repro.core.placement.greedy import greedy_placement, replicate_with_leftover
 from repro.core.placement.optimal import optimal_placement
 from repro.core.placement.problem import PlacementProblem
+from repro.core.placement import tensors as tensors_module
 from repro.core.placement.replicas import (
     MAX_REPLICA_ASSIGNMENTS,
+    _ReplicaSearch,
     enumerate_replica_placements,
     host_subsets,
     replica_aware_greedy,
@@ -25,13 +27,14 @@ from repro.core.placement.replicas import (
     replica_brute_force,
     replica_optimal_placement,
 )
-from repro.core.placement.tensors import CostTensors
+from repro.core.placement.tensors import CongestionModel, CostTensors
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
 from repro.profiles.devices import edge_device_names
 from repro.utils.errors import PlacementError
+from repro.utils.seeding import rng_for
 
-from conftest import seeded_noisy_problem
+from conftest import seeded_noisy_problem, with_slots
 
 MODEL_SETS = [
     ["clip-vit-b16"],
@@ -187,22 +190,30 @@ class TestReplicaSolvers:
                     assert bnb_p.as_dict() == brute_p.as_dict()
 
     def test_bnb_matches_brute_on_synthetic_instances(self):
+        # Serial and parallel mode, on the drawn slots and on a 1-slot
+        # majority where co-located encoders queue.
         for seed in range(3):
-            instance = synthetic_instance(3, 4, seed=seed, n_requests=6)
-            requests = list(instance.requests)
-            for max_copies in (2, 3):
-                brute_p, brute_o = replica_brute_force(
-                    instance.problem, requests, instance.network, max_copies=max_copies
-                )
-                bnb_p, bnb_o = replica_branch_and_bound(
-                    instance.problem, requests, instance.network, max_copies=max_copies
-                )
-                assert bnb_o == brute_o
-                assert bnb_p.as_dict() == brute_p.as_dict()
-                # Both solvers price leaves through RequestGroup.best_hosts;
-                # the tensor-free scalar objective checks that pricing alone.
-                scalar = LatencyModel(instance.problem, instance.network)
-                assert bnb_o == scalar.replica_objective_scalar(requests, bnb_p)
+            drawn = synthetic_instance(3, 4, seed=seed, n_requests=6)
+            for instance in (drawn, with_slots(drawn)):
+                requests = list(instance.requests)
+                for parallel in (True, False):
+                    for max_copies in (2, 3):
+                        brute_p, brute_o = replica_brute_force(
+                            instance.problem, requests, instance.network,
+                            max_copies=max_copies, parallel=parallel,
+                        )
+                        bnb_p, bnb_o = replica_branch_and_bound(
+                            instance.problem, requests, instance.network,
+                            max_copies=max_copies, parallel=parallel,
+                        )
+                        assert bnb_o == brute_o
+                        assert bnb_p.as_dict() == brute_p.as_dict()
+                        # Both solvers price from the same value tables; the
+                        # tensor-free scalar objective checks that pricing alone.
+                        scalar = LatencyModel(
+                            instance.problem, instance.network, parallel=parallel
+                        )
+                        assert bnb_o == scalar.replica_objective_scalar(requests, bnb_p)
 
     def test_max_copies_one_equals_single_copy_optimum_value(self):
         # Host sets of size 1 are the single-copy space priced identically
@@ -316,6 +327,142 @@ class TestReplicaSolvers:
             if count >= 500:
                 break
         assert count > 1
+
+
+def _pricing_cases():
+    """``(tag, problem, network, requests, parallel)`` for the last-level
+    checks: both modes, a 1-slot majority, and two models whose request
+    classes use different modules (so some classes are complete before the
+    last level)."""
+    serial = synthetic_instance(4, 6, seed=2, n_requests=4)
+    slotted = with_slots(synthetic_instance(5, 8, seed=1, n_requests=6))
+    models = MODEL_SETS[2]
+    for tag, problem, network, requests in (
+        ("4x6", serial.problem, serial.network, list(serial.requests)),
+        ("5x8-slots", slotted.problem, slotted.network, list(slotted.requests)),
+        ("two-models", noisy_problem(models, 0), Network(), requests_for(models)),
+    ):
+        for parallel in (True, False):
+            yield tag, problem, network, requests, parallel
+
+
+def _assign_all_but_last(search, rng):
+    """Descend every module but a random last one onto random feasible host
+    sets; returns ``(last, undo)`` or ``None`` when memory runs out."""
+    order = [int(m) for m in rng.permutation(search.n_modules)]
+    undo = []
+    for m in order[:-1]:
+        options = search.feasible_subsets(m)
+        if not options:
+            for idx, subset, saved in reversed(undo):
+                search.ascend(idx, subset, saved)
+            return None
+        subset = options[int(rng.integers(len(options)))]
+        undo.append((m, subset, search.descend(m, subset)))
+    return order[-1], undo
+
+
+def _assert_last_level_matches(search, m):
+    rows, totals = search.last_level(m)
+    expected = []
+    for subset in search.feasible_subsets(m):
+        saved = search.descend(m, subset)
+        expected.append(search.total_bound())
+        search.ascend(m, subset, saved)
+    assert [search.subsets_of[m][r] for r in rows] == search.feasible_subsets(m)
+    assert totals.tolist() == expected
+
+
+class TestLastLevelPricing:
+    """The batched last branching level against the per-set path it skips
+    (``descend`` / ``total_bound`` / ``ascend``), compared with ``==``."""
+
+    def test_pinned_minima_is_min_over_pinned_best_hosts(self):
+        for tag, problem, network, requests, parallel in _pricing_cases():
+            tensors = CostTensors(problem, network, parallel=parallel)
+            n = tensors.n_devices
+            rng = rng_for("pinned-minima", tag, parallel)
+            for request in requests:
+                group = tensors.group(request.model, request.source)
+                members = len(group.member_idx)
+                for _trial in range(8):
+                    candidates = [
+                        sorted(int(d) for d in rng.choice(
+                            n, size=int(rng.integers(1, 4)), replace=False
+                        ))
+                        for _ in range(members)
+                    ]
+                    free = int(rng.integers(members))
+                    candidates[free] = None
+                    minima = group.pinned_minima(tensors, candidates)
+                    for h in range(n):
+                        pinned = list(candidates)
+                        pinned[free] = [h]
+                        assert minima[h] == group.best_hosts(tensors, pinned)[0]
+
+    def test_batched_totals_equal_per_set_descend(self):
+        for tag, problem, network, requests, parallel in _pricing_cases():
+            tensors = CostTensors(problem, network, parallel=parallel)
+            for max_copies in (1, 2, 3):
+                search = _ReplicaSearch(tensors, requests, max_copies)
+                rng = rng_for("last-level", tag, parallel, max_copies)
+                checked = 0
+                for _trial in range(12):
+                    partial = _assign_all_but_last(search, rng)
+                    if partial is None:
+                        continue
+                    m, undo = partial
+                    _assert_last_level_matches(search, m)
+                    # Residuals that exactly fit ``m`` keep every set feasible.
+                    residual = list(search.residual)
+                    search.residual[:] = [search.memory[m]] * search.n_devices
+                    _assert_last_level_matches(search, m)
+                    search.residual[:] = residual
+                    checked += 1
+                    for idx, subset, saved in reversed(undo):
+                        search.ascend(idx, subset, saved)
+                assert checked, f"no feasible partial assignment for {tag}"
+                assert search.sets == [None] * search.n_modules
+
+    def test_congestion_falls_back_to_per_set_pricing(self):
+        instance = synthetic_instance(3, 4, seed=2, n_requests=6)
+        requests = list(instance.requests)
+        congestion = CongestionModel({request.model.name: 0.8 for request in requests})
+        tensors = CostTensors(instance.problem, instance.network)
+        search = _ReplicaSearch(tensors, requests, 2, congestion=congestion)
+        assert search.last_level(0) is None
+        bnb_p, bnb_o = replica_branch_and_bound(
+            instance.problem, requests, instance.network,
+            max_copies=2, congestion=congestion,
+        )
+        brute_p, brute_o = replica_brute_force(
+            instance.problem, requests, instance.network,
+            max_copies=2, congestion=congestion,
+        )
+        assert bnb_o == brute_o
+        assert bnb_p.as_dict() == brute_p.as_dict()
+
+    def test_tables_over_the_cap_fall_back_to_per_set_pricing(self, monkeypatch):
+        # 4 devices ** 3 members = 64 table entries, above a cap of 8.
+        monkeypatch.setattr(tensors_module, "_VALUE_TABLE_CAP", 8)
+        instance = synthetic_instance(3, 4, seed=0, n_requests=6)
+        requests = list(instance.requests)
+        for parallel in (True, False):
+            tensors = CostTensors(instance.problem, instance.network, parallel=parallel)
+            group = tensors.group(requests[0].model, requests[0].source)
+            assert group.pinned_minima(tensors, [None, [0], [1]]) is None
+            assert _ReplicaSearch(tensors, requests, 2).last_level(0) is None
+            bnb_p, bnb_o = replica_branch_and_bound(
+                instance.problem, requests, instance.network,
+                max_copies=2, parallel=parallel, tensors=tensors,
+            )
+            brute_p, brute_o = replica_brute_force(
+                instance.problem, requests, instance.network,
+                max_copies=2, parallel=parallel,
+            )
+            assert bnb_o == brute_o
+            assert bnb_p.as_dict() == brute_p.as_dict()
+            assert group._table is None
 
 
 class TestReplicaAwareGreedy:

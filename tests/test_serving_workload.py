@@ -123,6 +123,19 @@ class TestWorkloadGenerator:
         with pytest.raises(ValueError):
             WorkloadGenerator(MODELS, phase_offset_s=float("inf"))
 
+    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    @pytest.mark.parametrize(
+        "field",
+        ["rate_rps", "duration_s", "burst_factor", "burst_dwell_s", "base_dwell_s",
+         "diurnal_period_s"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_inputs_rejected(self, kind, field, value):
+        # nan passes every ``<= 0`` check and never ends the generation
+        # loops (a diurnal trace with duration nan never returned).
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WorkloadGenerator(MODELS, kind=kind, **{field: value})
+
 
 class TestChurnGeneration:
     def test_same_seed_same_events(self):
